@@ -23,31 +23,13 @@
 //!
 //! Both are deterministic by construction — outcomes depend only on
 //! `(graph, instance, seed)`, never on thread count — and both degrade
-//! gracefully on non-expanders: unreachable tokens come back in
-//! [`RouteOutcome::undelivered`](expander_core::RouteOutcome), exactly
-//! matching the decomposition router's route-or-report contract.
+//! gracefully on non-expanders: unreachable tokens come back as
+//! [`UndeliverableReason::NoPath`](expander_core::UndeliverableReason)
+//! reports in the shared [`RoutingOutcome`](expander_core::RoutingOutcome),
+//! the decomposition router's route-or-report contract.
 
 pub mod local;
 pub mod splicer;
 
 pub use local::GreedyLocalRouting;
 pub use splicer::SplicerRouting;
-
-use expander_core::token::InstanceError;
-use expander_core::RoutingInstance;
-use expander_graphs::Graph;
-
-/// Rejects tokens outside the vertex range (shared by both baselines;
-/// same malformed-instance contract as the in-core routers).
-pub(crate) fn validate(g: &Graph, inst: &RoutingInstance) -> Result<(), InstanceError> {
-    let n = g.n();
-    for t in &inst.tokens {
-        if t.src as usize >= n || t.dst as usize >= n {
-            return Err(InstanceError::new(format!(
-                "token ({}, {}) outside vertex range",
-                t.src, t.dst
-            )));
-        }
-    }
-    Ok(())
-}

@@ -1,5 +1,5 @@
-//! The experiment harness: regenerates every series in DESIGN.md §5
-//! (E1–E13), one table per paper claim. Run via `cargo bench` (this
+//! The experiment harness: regenerates every series of the experiment
+//! index in docs/ARCHITECTURE.md (E1–E14), one table per paper claim. Run via `cargo bench` (this
 //! target sets `harness = false`; the measured quantity is *charged
 //! CONGEST rounds*, not wall-clock).
 //!
@@ -28,7 +28,7 @@ fn n_sweep() -> Vec<usize> {
 
 fn main() {
     println!("deterministic expander routing — experiment harness");
-    println!("metric: charged CONGEST rounds (see DESIGN.md cost model)");
+    println!("metric: charged CONGEST rounds (congest_sim::cost charge model)");
 
     e1_tradeoff();
     e2_single_shot();

@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 
-//! Shared helpers for the experiment harness (see DESIGN.md §5 for the
-//! experiment index E1–E13 and EXPERIMENTS.md for recorded results).
+//! Shared helpers for the experiment harness (see docs/ARCHITECTURE.md
+//! for the experiment index E1–E14; the harness prints its results).
 
 use expander_core::{Router, RouterConfig, RoutingInstance};
 use expander_graphs::{generators, Graph};

@@ -327,24 +327,35 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         let stop = AtomicBool::new(false);
         let polls = AtomicUsize::new(0);
+        // Workers that have polled at least once. `body` waits for all
+        // three before stopping them: `run_workers` does not promise a
+        // worker is scheduled before `body` runs.
+        let started = AtomicUsize::new(0);
         let (body_out, worker_outs) = run_workers(
             3,
             |i| {
                 let mut backoff = IdleBackoff::new(Duration::from_micros(200));
+                let mut first = true;
                 while !stop.load(Ordering::Acquire) {
                     polls.fetch_add(1, Ordering::Relaxed);
+                    if std::mem::take(&mut first) {
+                        started.fetch_add(1, Ordering::Release);
+                    }
                     backoff.idle();
                 }
                 i * 2
             },
             || {
+                while started.load(Ordering::Acquire) < 3 {
+                    std::thread::yield_now();
+                }
                 stop.store(true, Ordering::Release);
                 "done"
             },
         );
         assert_eq!(body_out, "done");
         assert_eq!(worker_outs, vec![0, 2, 4]);
-        assert!(polls.load(Ordering::Relaxed) > 0);
+        assert!(polls.load(Ordering::Relaxed) >= 3);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! 4. [`DeliveryMode::Decomposed`] — the live graph no longer
 //!    certifies as a single expander: route through
 //!    [`RoutedDecomposition`] (Corollary 1.4), reporting cross-piece
-//!    tokens as structured [`Undeliverable`] outcomes.
+//!    tokens as structured [`Undeliverable`](crate::Undeliverable) outcomes.
 //! 5. [`DeliveryMode::DirectBfs`] — structural attempts are in
 //!    backoff: charged BFS delivery on the live graph, unreachable
 //!    tokens reported, never a panic.
@@ -34,17 +34,13 @@
 //!
 //! [`ChurnDriver`] is the harness: four seeded fault schedules
 //! ([`ChurnSchedule`]) injected against live query batches, with every
-//! round's outcome checked by [`DecomposedOutcome::verify`] and
+//! round's outcome checked by [`RoutingOutcome::verify`] and
 //! recorded (delivery rate, repair latency, congestion/dilation) for
 //! the percentile report.
 
-use crate::decomposed::{
-    route_by_bfs, DecomposedConfig, DecomposedOutcome, RoutedDecomposition, Undeliverable,
-    UndeliverableReason,
-};
+use crate::decomposed::{route_by_bfs, DecomposedConfig, RoutedDecomposition};
 use crate::router::Router;
-use crate::token::{InstanceError, QueryStats, RoutingInstance, RoutingOutcome};
-use congest_sim::RoundLedger;
+use crate::token::{InstanceError, RoutingInstance, RoutingOutcome};
 use expander_decomp::RepairReport;
 use expander_graphs::{Graph, GraphEdit, VertexId};
 use rand::rngs::StdRng;
@@ -110,10 +106,10 @@ impl fmt::Display for DeliveryMode {
 /// result plus which ladder rung produced it.
 #[derive(Debug, Clone)]
 pub struct ChurnOutcome {
-    /// The delivery outcome, on the same route-or-report contract as
-    /// [`RoutedDecomposition::route`]: every token is either at its
-    /// destination or reported in `outcome.undeliverable`.
-    pub outcome: DecomposedOutcome,
+    /// The delivery outcome, on the route-or-report contract: every
+    /// token is either at its destination or reported in
+    /// `outcome.undeliverable`.
+    pub outcome: RoutingOutcome,
     /// The ladder rung that served the query.
     pub mode: DeliveryMode,
     /// The repair report, when the [`DeliveryMode::Repaired`] rung
@@ -145,7 +141,7 @@ pub struct ChurnOutcome {
 /// cr.apply(&[GraphEdit::RemoveEdge(u, v)]);
 /// let out = cr.route(&RoutingInstance::permutation(256, 3)).expect("valid");
 /// assert_eq!(out.mode, DeliveryMode::Repaired);
-/// assert!(out.outcome.fully_delivered());
+/// assert!(out.outcome.all_delivered());
 /// ```
 pub struct ChurnRouter {
     graph: Graph,
@@ -224,29 +220,20 @@ impl ChurnRouter {
     /// Routes `inst` through the highest live rung of the degradation
     /// ladder (module docs). Never panics on a routable-or-reportable
     /// situation: tokens that cannot be delivered come back as
-    /// structured [`Undeliverable`] reports.
+    /// structured [`Undeliverable`](crate::Undeliverable) reports.
     ///
     /// # Errors
     ///
     /// Returns an error only for a malformed instance (a token
     /// referencing a vertex outside the live graph's id space).
     pub fn route(&mut self, inst: &RoutingInstance) -> Result<ChurnOutcome, InstanceError> {
-        let n = self.graph.n();
-        for t in &inst.tokens {
-            if t.src as usize >= n || t.dst as usize >= n {
-                return Err(InstanceError::new(format!(
-                    "token ({}, {}) outside vertex range",
-                    t.src, t.dst
-                )));
-            }
-        }
+        inst.check_vertex_range(self.graph.n())?;
 
         // Rung 1: the router is current.
         if self.pending.is_empty() {
             if let Some(r) = &self.router {
-                let out = r.route(inst)?;
                 return Ok(ChurnOutcome {
-                    outcome: wrap_routing(out),
+                    outcome: r.route(inst)?,
                     mode: DeliveryMode::Hierarchical,
                     repair: None,
                     repair_latency: Duration::ZERO,
@@ -267,9 +254,9 @@ impl ChurnRouter {
                         self.pending.clear();
                         self.fail_streak = 0;
                         self.decomp = None;
-                        let out = self.router.as_ref().expect("just repaired").route(inst)?;
+                        let outcome = self.router.as_ref().expect("just repaired").route(inst)?;
                         return Ok(ChurnOutcome {
-                            outcome: wrap_routing(out),
+                            outcome,
                             mode: DeliveryMode::Repaired,
                             repair: Some(report),
                             repair_latency,
@@ -287,9 +274,9 @@ impl ChurnRouter {
                     self.pending.clear();
                     self.fail_streak = 0;
                     self.decomp = None;
-                    let out = self.router.as_ref().expect("just rebuilt").route(inst)?;
+                    let outcome = self.router.as_ref().expect("just rebuilt").route(inst)?;
                     return Ok(ChurnOutcome {
-                        outcome: wrap_routing(out),
+                        outcome,
                         mode: DeliveryMode::Rebuilt,
                         repair: None,
                         repair_latency,
@@ -334,44 +321,10 @@ impl ChurnRouter {
         // Rung 5: charged BFS on the live graph — no structure is
         // built while backing off, but every token still routes or
         // reports.
-        let mut positions: Vec<VertexId> = inst.tokens.iter().map(|t| t.src).collect();
-        let destinations: Vec<VertexId> = inst.tokens.iter().map(|t| t.dst).collect();
-        let mut undeliverable: Vec<Undeliverable> = Vec::new();
-        let mut stats = QueryStats::default();
-        let mut ledger = RoundLedger::new();
-        let toks: Vec<(VertexId, VertexId)> = inst.tokens.iter().map(|t| (t.src, t.dst)).collect();
-        let delivered =
-            route_by_bfs(&self.graph, &toks, &mut stats, &mut ledger, "query/churn/bfs");
-        for (i, ok) in delivered.iter().enumerate() {
-            let t = &inst.tokens[i];
-            if *ok {
-                positions[i] = t.dst;
-            } else {
-                undeliverable.push(Undeliverable {
-                    token: i,
-                    reason: UndeliverableReason::NoPath { src: t.src, dst: t.dst },
-                });
-            }
-        }
-        Ok(ChurnOutcome {
-            outcome: DecomposedOutcome { positions, destinations, undeliverable, ledger, stats },
-            mode: DeliveryMode::DirectBfs,
-            repair: None,
-            repair_latency,
-        })
-    }
-}
-
-/// Lifts a fully-hierarchical routing outcome onto the
-/// route-or-report contract (expander routing always delivers, so the
-/// undeliverable list is empty).
-fn wrap_routing(out: RoutingOutcome) -> DecomposedOutcome {
-    DecomposedOutcome {
-        positions: out.positions,
-        destinations: out.destinations,
-        undeliverable: Vec::new(),
-        ledger: out.ledger,
-        stats: out.stats,
+        let mut outcome = RoutingOutcome::at_sources(inst);
+        let all: Vec<usize> = (0..inst.tokens.len()).collect();
+        route_by_bfs(&self.graph, inst, &all, |v| v, &mut outcome, "query/churn/bfs");
+        Ok(ChurnOutcome { outcome, mode: DeliveryMode::DirectBfs, repair: None, repair_latency })
     }
 }
 
@@ -526,7 +479,7 @@ impl ChurnDriver {
     /// Runs `params` against `graph`. Every round injects the
     /// schedule's edit batch, routes a seeded query batch between live
     /// vertices, checks the outcome with
-    /// [`DecomposedOutcome::verify`], and records the metrics.
+    /// [`RoutingOutcome::verify`], and records the metrics.
     ///
     /// # Panics
     ///
@@ -682,7 +635,7 @@ mod tests {
         let inst = RoutingInstance::permutation(256, 5);
         let out = cr.route(&inst).expect("valid");
         assert_eq!(out.mode, DeliveryMode::Hierarchical);
-        assert!(out.outcome.fully_delivered());
+        assert!(out.outcome.all_delivered());
         assert!(out.outcome.verify(&inst).is_empty());
         assert_eq!(out.repair_latency, Duration::ZERO);
     }
@@ -697,7 +650,7 @@ mod tests {
         let out = cr.route(&inst).expect("valid");
         assert_eq!(out.mode, DeliveryMode::Repaired);
         assert!(out.repair.expect("repair report").is_incremental());
-        assert!(out.outcome.fully_delivered());
+        assert!(out.outcome.all_delivered());
         assert!(cr.pending().is_empty(), "repair consumed the edit queue");
         // The next query is warm again.
         let out = cr.route(&inst).expect("valid");
@@ -721,7 +674,7 @@ mod tests {
         let out = cr.route(&inst).expect("valid");
         assert_eq!(out.mode, DeliveryMode::Decomposed);
         assert!(out.outcome.verify(&inst).is_empty());
-        assert!(out.outcome.fully_delivered(), "all tokens live in the surviving component");
+        assert!(out.outcome.all_delivered(), "all tokens live in the surviving component");
         // Same epoch: the cached decomposition serves again.
         let out = cr.route(&inst).expect("valid");
         assert_eq!(out.mode, DeliveryMode::Decomposed);
@@ -736,7 +689,7 @@ mod tests {
         let out = cr.route(&inst).expect("valid");
         assert_eq!(out.mode, DeliveryMode::DirectBfs);
         assert!(out.outcome.verify(&inst).is_empty());
-        assert!(out.outcome.fully_delivered());
+        assert!(out.outcome.all_delivered());
     }
 
     #[test]

@@ -199,7 +199,7 @@ pub fn route_via_sorting(
         positions: destinations.clone(),
         destinations,
         ledger,
-        stats: QueryStats::default(),
+        ..Default::default()
     };
     Ok(RouteViaSorting { outcome, sort_calls })
 }

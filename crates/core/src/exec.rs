@@ -795,10 +795,10 @@ impl<'r> Exec<'r> {
         let destinations: Vec<u32> = inst.tokens.iter().map(|t| t.dst).collect();
         if inst.tokens.is_empty() {
             return RoutingOutcome {
-                positions: Vec::new(),
                 destinations,
                 ledger: self.ledger,
                 stats: self.stats,
+                ..RoutingOutcome::default()
             };
         }
         // Sanity: every token now sits at its destination's delegate.
@@ -819,7 +819,13 @@ impl<'r> Exec<'r> {
         let delivery_cost = observe_mc(&mut self.stats, &scratch.mc);
         self.ledger.charge("query/delivery", delivery_cost);
 
-        RoutingOutcome { positions: self.pos, destinations, ledger: self.ledger, stats: self.stats }
+        RoutingOutcome {
+            positions: self.pos,
+            destinations,
+            ledger: self.ledger,
+            stats: self.stats,
+            ..RoutingOutcome::default()
+        }
     }
 
     /// Everything of a sort job before Task 2: the chain leg into
@@ -1694,8 +1700,8 @@ fn disperse_fused(
 
 /// §6.3 merge for one job of the group: pair reals with dummies per
 /// (part, mark); dummies escort reals to their birth vertices. Reals
-/// that exceed the local dummy supply (small-`n` slack, DESIGN.md
-/// substitution 6) fall back to explicit shortest paths, measured and
+/// that exceed the local dummy supply (small-`n` slack,
+/// docs/ARCHITECTURE.md substitution 6) fall back to explicit shortest paths, measured and
 /// counted. Group iteration runs in ascending dense-key order — the
 /// fallback round-robin counters are shared across groups with the
 /// same mark, so the order must be deterministic or target choices

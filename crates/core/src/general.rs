@@ -4,7 +4,7 @@
 use crate::router::{Router, RouterConfig};
 use crate::token::{InstanceError, RoutingInstance, RoutingOutcome};
 use expander_decomp::BuildError;
-use expander_graphs::{Graph, SplitGraph, VertexId};
+use expander_graphs::{Graph, SplitGraph};
 
 /// A router for expanders with arbitrary degrees: tokens are mapped to
 /// ports of the constant-degree split graph `G⋄`, routed there, and
@@ -48,15 +48,14 @@ impl GeneralRouter {
     ///
     /// # Errors
     ///
-    /// Errors if a vertex sources or sinks more than `deg(v)` tokens.
+    /// Errors if a token leaves the vertex range or a vertex sources or
+    /// sinks more than `deg(v)` tokens.
     pub fn route(&self, inst: &RoutingInstance) -> Result<RoutingOutcome, InstanceError> {
+        inst.check_vertex_range(self.base_n)?;
         let mut src_count = vec![0u32; self.base_n];
         let mut dst_count = vec![0u32; self.base_n];
         let mut triples = Vec::with_capacity(inst.tokens.len());
         for t in &inst.tokens {
-            if t.src as usize >= self.base_n || t.dst as usize >= self.base_n {
-                return Err(InstanceError::new("token endpoint outside the base graph"));
-            }
             let sdeg = self.split.base_degree(t.src);
             let ddeg = self.split.base_degree(t.dst);
             let s_port = src_count[t.src as usize];
@@ -88,10 +87,11 @@ impl GeneralRouter {
         let root = self.inner.hierarchy().root();
         out.ledger.charge("query/general/port-labels", 2 * self.inner.cost_model().tsort(root, 1));
         // Map positions back to base vertices.
-        let positions: Vec<VertexId> =
-            out.positions.iter().map(|&sv| self.split.owner(sv)).collect();
-        let destinations: Vec<VertexId> = inst.tokens.iter().map(|t| t.dst).collect();
-        Ok(RoutingOutcome { positions, destinations, ledger: out.ledger, stats: out.stats })
+        for p in &mut out.positions {
+            *p = self.split.owner(*p);
+        }
+        out.destinations = inst.tokens.iter().map(|t| t.dst).collect();
+        Ok(out)
     }
 
     /// The unknown-`L` doubling trick (Appendix E remark): try load

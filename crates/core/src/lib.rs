@@ -23,7 +23,7 @@
 //! | Sorting networks (§6.4's `I_AKS`, substituted by Batcher) | [`network`] |
 //! | Routing ⇄ sorting equivalence (Appendix F) | [`equivalence`] |
 //! | Arbitrary degrees via the expander split `G⋄` (Appendix E) | [`general`] |
-//! | Instances, outcomes, load `L`, query statistics | [`token`] |
+//! | Instances, the route-or-report outcome, load `L`, query statistics | [`token`] |
 //! | Batched/fused multi-query amortization (Theorem 1.1 at scale) | [`engine`] |
 //! | Streaming admission over the batch engine (beyond the paper) | [`service`] |
 //! | Corollary 1.4 general graphs via expander decomposition | [`decomposed`] |
@@ -66,7 +66,7 @@
 //!   shortest-path router, for the comparison experiments.
 //! * [`arena`] — the baseline arena: the [`RoutingAlgorithm`] trait
 //!   rival routers implement (`route_instance(graph, instance) →`
-//!   [`RouteOutcome`] on the shared charge model), with adapters
+//!   [`RoutingOutcome`] on the shared charge model), with adapters
 //!   putting [`Router`] and [`RoutedDecomposition`] behind it; the
 //!   competing algorithms live in the `expander-baselines` crate.
 //! * [`decomposed`] — graceful degradation on general graphs
@@ -111,12 +111,9 @@ pub mod router;
 pub mod service;
 pub mod token;
 
-pub use arena::{RouteOutcome, RoutingAlgorithm};
+pub use arena::RoutingAlgorithm;
 pub use churn::{ChurnConfig, ChurnOutcome, ChurnRouter, DeliveryMode};
-pub use decomposed::{
-    DecomposedConfig, DecomposedOutcome, FallbackReason, RoutedDecomposition, Undeliverable,
-    UndeliverableReason,
-};
+pub use decomposed::{DecomposedConfig, FallbackReason, RoutedDecomposition};
 pub use engine::{BatchOutcome, BatchStats, Job, JobOutcome, JobRef, QueryEngine};
 pub use general::GeneralRouter;
 pub use profile::{PhaseProfile, RouteProfile};
@@ -125,4 +122,6 @@ pub use service::{
     ArrivalSchedule, RoutingService, ServiceConfig, ServiceHandle, ServiceStats, SubmitError,
     TenantCounters, Ticket,
 };
-pub use token::{RoutingInstance, RoutingOutcome, SortInstance, SortOutcome};
+pub use token::{
+    RoutingInstance, RoutingOutcome, SortInstance, SortOutcome, Undeliverable, UndeliverableReason,
+};

@@ -4,7 +4,7 @@
 //! The paper uses AKS networks (`O(log n)` depth, impractical
 //! constants); we substitute Batcher's odd-even mergesort
 //! (`O(log² n)` depth, all comparators ascending, valid for arbitrary
-//! widths) — DESIGN.md substitution 1. Leaf nodes get an *embedded*
+//! widths) — docs/ARCHITECTURE.md substitution 1. Leaf nodes get an *embedded*
 //! network: every comparator pair carries an explicit path in the
 //! leaf's virtual graph, flattened to the base graph, so layer costs
 //! are measured (§6.4's `Q(I_AKS)`).

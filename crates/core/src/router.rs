@@ -681,25 +681,12 @@ impl Router {
     pub(crate) fn validate(&self, job: JobRef<'_>) -> Result<(), InstanceError> {
         let n = self.graph.n();
         match job {
-            JobRef::Route(inst) => {
-                for t in &inst.tokens {
-                    if t.src as usize >= n || t.dst as usize >= n {
-                        return Err(InstanceError::new(format!(
-                            "token ({}, {}) outside vertex range",
-                            t.src, t.dst
-                        )));
-                    }
-                }
-            }
-            JobRef::Sort(inst) => {
-                for t in &inst.tokens {
-                    if t.src as usize >= n {
-                        return Err(InstanceError::new(format!("source {} outside range", t.src)));
-                    }
-                }
-            }
+            JobRef::Route(inst) => inst.check_vertex_range(n),
+            JobRef::Sort(inst) => match inst.tokens.iter().find(|t| t.src as usize >= n) {
+                Some(t) => Err(InstanceError::new(format!("source {} outside range", t.src))),
+                None => Ok(()),
+            },
         }
-        Ok(())
     }
 
     /// Executes one *validated* job: the single entry point behind

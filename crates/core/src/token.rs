@@ -13,7 +13,9 @@
 //!   the charged-round [`RoundLedger`] (Fact 2.2 accounting) and the
 //!   paper-facing [`QueryStats`]: the Lemma 6.6 per-round load trace,
 //!   Lemma 6.2 dispersion-envelope checks, and the observed
-//!   congestion/dilation of every measured movement leg.
+//!   congestion/dilation of every measured movement leg. Routing adds
+//!   [`Undeliverable`] reports and the one route-or-report check,
+//!   [`RoutingOutcome::verify`].
 
 use congest_sim::RoundLedger;
 use expander_graphs::VertexId;
@@ -177,6 +179,23 @@ impl RoutingInstance {
         RoutingInstance { tokens }
     }
 
+    /// Rejects tokens whose source or destination lies outside the
+    /// vertex range `0..n` — the malformed-input check every router
+    /// runs before routing.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`InstanceError`] naming the first offending token.
+    pub fn check_vertex_range(&self, n: usize) -> Result<(), InstanceError> {
+        match self.tokens.iter().find(|t| t.src as usize >= n || t.dst as usize >= n) {
+            Some(t) => Err(InstanceError::new(format!(
+                "token ({}, {}) outside vertex range",
+                t.src, t.dst
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// The instance's load `L`: the maximum, over vertices, of tokens
     /// sourced at or destined to that vertex.
     pub fn load(&self, n: usize) -> usize {
@@ -272,7 +291,7 @@ impl fmt::Display for InstanceError {
 impl Error for InstanceError {}
 
 /// Statistics collected while executing a query.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Maximum per-vertex load observed during dispersal, per shuffler
     /// iteration (Lemma 6.6's quantity), worst over all Task 3 calls.
@@ -280,7 +299,7 @@ pub struct QueryStats {
     /// fusion width, far below `2³²` (see `tests/overflow_bounds.rs`).
     pub max_load_trace: Vec<u32>,
     /// Tokens delivered through the small-`n` fallback instead of the
-    /// dummy-escort pairing (DESIGN.md substitution 6). Zero at
+    /// dummy-escort pairing (docs/ARCHITECTURE.md substitution 6). Zero at
     /// adequate scale.
     pub fallback_tokens: u64,
     /// `(i, l)` dispersion-envelope violations observed (Lemma 6.2's
@@ -328,28 +347,178 @@ impl QueryStats {
     }
 }
 
-/// Outcome of a routing query.
-#[derive(Debug, Clone)]
+/// Why a token could not be delivered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UndeliverableReason {
+    /// Source and destination live in different expander pieces of a
+    /// decomposition: the token would have to cross removed cut edges,
+    /// where the paper's routing precondition (one φ-expander) does not
+    /// hold.
+    CrossPiece {
+        /// Piece index of the source.
+        src_piece: u32,
+        /// Piece index of the destination.
+        dst_piece: u32,
+    },
+    /// No path connects source and destination in the graph the router
+    /// searched (a decomposition piece, a churned live graph, or a
+    /// baseline's spanning forests).
+    NoPath {
+        /// Source vertex (global id).
+        src: VertexId,
+        /// Destination vertex (global id).
+        dst: VertexId,
+    },
+}
+
+/// A token a router could not deliver, with the reason.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Undeliverable {
+    /// Index of the token in the instance.
+    pub token: usize,
+    /// Why it stays at its source.
+    pub reason: UndeliverableReason,
+}
+
+impl fmt::Display for Undeliverable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.reason {
+            UndeliverableReason::CrossPiece { src_piece, dst_piece } => write!(
+                f,
+                "token {} undeliverable: crosses pieces {src_piece} -> {dst_piece}",
+                self.token
+            ),
+            UndeliverableReason::NoPath { src, dst } => {
+                write!(f, "token {} undeliverable: no path {src} -> {dst}", self.token)
+            }
+        }
+    }
+}
+
+/// Outcome of a routing query, on the route-or-report contract: every
+/// token is either at its destination or reported in
+/// [`RoutingOutcome::undeliverable`].
+///
+/// Theorem 1.1 routing on a certified expander always delivers, so its
+/// report list is empty; the Corollary 1.4 decomposition, the churn
+/// ladder and the arena baselines report what they cannot serve.
+/// Derives `PartialEq`/`Eq` over every field (ledger included), so
+/// "byte-identical outcome" assertions are a single `assert_eq!`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoutingOutcome {
     /// Final position of each token (aligned with the instance).
+    /// Undeliverable tokens stay at their source.
     pub positions: Vec<VertexId>,
     /// Destination of each token (copied from the instance).
     pub destinations: Vec<VertexId>,
+    /// Tokens that could not be delivered, in strictly increasing token
+    /// order. Empty when every token is delivered.
+    pub undeliverable: Vec<Undeliverable>,
+    /// Flat per-edge traversal counts indexed by
+    /// [`Graph::edge_id`](expander_graphs::Graph::edge_id). Only the
+    /// arena baselines fill it; the hierarchical machinery accounts
+    /// congestion per measured movement leg in `stats` instead.
+    pub edge_loads: Vec<u32>,
     /// Charged rounds, by phase.
     pub ledger: RoundLedger,
-    /// Execution statistics.
+    /// Execution statistics, including the worst congestion and
+    /// dilation observed.
     pub stats: QueryStats,
 }
 
 impl RoutingOutcome {
+    /// Every token still at its source, nothing reported or charged:
+    /// the starting point of a route-or-report router.
+    pub fn at_sources(inst: &RoutingInstance) -> Self {
+        RoutingOutcome {
+            positions: inst.tokens.iter().map(|t| t.src).collect(),
+            destinations: inst.tokens.iter().map(|t| t.dst).collect(),
+            ..RoutingOutcome::default()
+        }
+    }
+
     /// Whether every token sits at its destination.
     pub fn all_delivered(&self) -> bool {
         self.positions.iter().zip(&self.destinations).all(|(p, d)| p == d)
     }
 
+    /// Number of tokens delivered to their destination.
+    pub fn delivered_count(&self) -> usize {
+        self.positions.len() - self.undeliverable.len()
+    }
+
+    /// Delivered fraction in `[0, 1]` (1.0 for an empty instance).
+    pub fn delivery_rate(&self) -> f64 {
+        if self.positions.is_empty() {
+            1.0
+        } else {
+            self.delivered_count() as f64 / self.positions.len() as f64
+        }
+    }
+
     /// Total charged rounds for the query.
     pub fn rounds(&self) -> u64 {
         self.ledger.total()
+    }
+
+    /// Checks the route-or-report contract against the instance: the
+    /// outcome is aligned with the instance, every token is delivered
+    /// or reported exactly once (delivered tokens sit at their
+    /// destination, reported ones untouched at their source), the
+    /// report list is strictly increasing and in range, and flat edge
+    /// loads (when present) peak at the reported congestion. Returns
+    /// human-readable violations; empty when consistent.
+    pub fn verify(&self, inst: &RoutingInstance) -> Vec<String> {
+        let mut issues = Vec::new();
+        let k = inst.tokens.len();
+        if self.positions.len() != k || self.destinations.len() != k {
+            issues.push("outcome not aligned with instance".to_owned());
+            return issues;
+        }
+        for (i, t) in inst.tokens.iter().enumerate() {
+            if self.destinations[i] != t.dst {
+                issues.push(format!(
+                    "token {i}: destination {} != instance {}",
+                    self.destinations[i], t.dst
+                ));
+            }
+        }
+        if !self.undeliverable.windows(2).all(|w| w[0].token < w[1].token) {
+            issues.push("undeliverable reports not strictly increasing (duplicate?)".to_owned());
+        }
+        let mut reported = vec![false; k];
+        for u in &self.undeliverable {
+            match reported.get_mut(u.token) {
+                Some(r) => *r = true,
+                None => issues.push(format!("undeliverable report for bogus token {}", u.token)),
+            }
+        }
+        for (i, t) in inst.tokens.iter().enumerate() {
+            let pos = self.positions[i];
+            if reported[i] {
+                if pos != t.src {
+                    issues.push(format!(
+                        "token {i} reported undeliverable but moved {} -> {pos}",
+                        t.src
+                    ));
+                }
+            } else if pos != t.dst {
+                issues.push(format!(
+                    "token {i} neither delivered (at {pos}, wants {}) nor reported",
+                    t.dst
+                ));
+            }
+        }
+        if !self.edge_loads.is_empty() {
+            let max = u64::from(self.edge_loads.iter().copied().max().unwrap_or(0));
+            if max != self.stats.max_congestion {
+                issues.push(format!(
+                    "flat edge loads peak at {max} but max_congestion claims {}",
+                    self.stats.max_congestion
+                ));
+            }
+        }
+        issues
     }
 }
 
@@ -471,14 +640,42 @@ mod tests {
     }
 
     #[test]
-    fn outcome_delivery_check() {
-        let o = RoutingOutcome {
-            positions: vec![1, 2],
-            destinations: vec![1, 2],
-            ledger: RoundLedger::new(),
-            stats: QueryStats::default(),
+    fn verify_flags_every_contract_violation() {
+        let inst = RoutingInstance::from_triples(&[(0, 4, 0), (1, 5, 1)]);
+        let valid = RoutingOutcome {
+            positions: vec![4, 1],
+            destinations: vec![4, 5],
+            undeliverable: vec![Undeliverable {
+                token: 1,
+                reason: UndeliverableReason::NoPath { src: 1, dst: 5 },
+            }],
+            edge_loads: vec![2, 0, 1],
+            stats: QueryStats { max_congestion: 2, ..QueryStats::default() },
+            ..RoutingOutcome::default()
         };
-        assert!(o.all_delivered());
+        assert!(valid.verify(&inst).is_empty(), "{:?}", valid.verify(&inst));
+        assert!(!valid.all_delivered());
+        assert_eq!(valid.delivered_count(), 1);
+        assert!((valid.delivery_rate() - 0.5).abs() < 1e-12);
+
+        // Each tampering breaks exactly one clause of the contract.
+        let flags = |name: &str, tamper: fn(&mut RoutingOutcome), expect: &str| {
+            let mut out = valid.clone();
+            tamper(&mut out);
+            let issues = out.verify(&inst);
+            assert!(issues.len() == 1 && issues[0].contains(expect), "{name}: {issues:?}");
+        };
+        flags("misaligned lengths", |o| o.positions.truncate(1), "not aligned");
+        flags("wrong destination", |o| o.destinations[0] = 3, "destination 3 != instance 4");
+        flags("duplicate report", |o| o.undeliverable.push(o.undeliverable[0]), "strictly");
+        flags(
+            "out-of-range report",
+            |o| o.undeliverable.push(Undeliverable { token: 7, ..o.undeliverable[0] }),
+            "bogus token 7",
+        );
+        flags("reported token moved", |o| o.positions[1] = 5, "moved 1 -> 5");
+        flags("neither delivered nor reported", |o| o.undeliverable.clear(), "neither");
+        flags("loads disagree with congestion", |o| o.stats.max_congestion = 3, "peak at 2");
     }
 
     #[test]

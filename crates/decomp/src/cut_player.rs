@@ -4,7 +4,7 @@
 //! The paper's cut player (Lemma B.2) brute-forces subset pairs after
 //! learning the cluster graph; we substitute the constructive
 //! separation of [RST14, Lemma 3.3] applied to a seeded projection
-//! `μ = R_{i-1}·r` (DESIGN.md substitution 2). The separation's four
+//! `μ = R_{i-1}·r` (docs/ARCHITECTURE.md substitution 2). The separation's four
 //! properties are *checked* at runtime and the potential decay of
 //! Lemma B.5 is asserted numerically wherever the exact walk matrix is
 //! maintained.

@@ -1,6 +1,6 @@
 //! The one-shot hierarchical decomposition (paper §3, Appendix A).
 //!
-//! Construction summary (DESIGN.md substitution 4 documents how this
+//! Construction summary (docs/ARCHITECTURE.md substitution 4 documents how this
 //! differs from the literal CS20 recursion):
 //!
 //! 1. Partition the current node's vertex set into `k ≈ n^ε` ID-ordered
@@ -111,8 +111,8 @@ pub enum BuildError {
         /// Vertices left outside and unmatched.
         unmatched: usize,
     },
-    /// The force-attach stage (Property 3.1(1), DESIGN.md substitution
-    /// 5) could not connect a leftover vertex to any surviving part:
+    /// The force-attach stage (Property 3.1(1), docs/ARCHITECTURE.md
+    /// substitution 5) could not connect a leftover vertex to any surviving part:
     /// the node's virtual graph stranded it. Weak expanders off the
     /// certification happy path can reach this; it was an `assert!`
     /// before the robustness audit.
@@ -1060,8 +1060,8 @@ impl Builder<'_, '_> {
             (outside, pairs, emb)
         } else {
             // Internal nodes must cover X exactly (Property 3.1(1));
-            // force-attach stragglers via shortest paths (DESIGN.md
-            // substitution 5). A straggler the virtual graph
+            // force-attach stragglers via shortest paths
+            // (docs/ARCHITECTURE.md substitution 5). A straggler the virtual graph
             // disconnects from every surviving part is a structured
             // build failure, not a panic: hostile (non-expander)
             // inputs do reach this stage.

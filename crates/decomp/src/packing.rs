@@ -5,7 +5,7 @@
 //! as a set of low-congestion low-dilation paths in the host graph. The
 //! reference algorithm is the parallel-DFS maximal-path packing of
 //! [CS20, GPV93]; we substitute a capacitated multi-source BFS blocking
-//! packing (DESIGN.md substitution 3) with geometric cap escalation.
+//! packing (docs/ARCHITECTURE.md substitution 3) with geometric cap escalation.
 //! The achieved congestion/dilation is *measured* and flows into every
 //! downstream round charge.
 

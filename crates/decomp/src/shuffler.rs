@@ -44,7 +44,7 @@ pub struct ShufflerParams {
     /// Cut-player strategy (ablation knob).
     pub cut_strategy: CutStrategy,
     /// Use the paper's literal normalizer `n' = 6|X|/k` instead of the
-    /// tight `max_i |X*_i|` (ablation knob; see DESIGN.md
+    /// tight `max_i |X*_i|` (ablation knob; see docs/ARCHITECTURE.md
     /// substitution 6 — the literal constant mixes ~6× slower).
     pub paper_normalizer: bool,
 }
@@ -149,7 +149,7 @@ pub fn build_shuffler(
     // max_i |X*_i| instead: the degree constraint still holds and the
     // induced walk moves up to 6x more mass per iteration, which at
     // laptop-scale n is the difference between mixing inside the
-    // O(log n) budget and not (DESIGN.md substitution 6). The literal
+    // O(log n) budget and not (docs/ARCHITECTURE.md substitution 6). The literal
     // constant is kept behind `paper_normalizer` for the ablation.
     let normalizer = if params.paper_normalizer {
         ((6 * nd.vertices.len()) as f64 / h.k() as f64).max(max_part as f64)

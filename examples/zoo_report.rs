@@ -95,7 +95,7 @@ fn main() {
             g.m(),
             rd.pieces().len(),
             fallback,
-            out.success_rate() * 100.0,
+            out.delivery_rate() * 100.0,
             out.stats.max_congestion,
             out.stats.max_dilation,
             out.rounds(),

@@ -50,7 +50,7 @@ pub mod prelude {
     pub use expander_baselines::{GreedyLocalRouting, SplicerRouting};
     pub use expander_core::{
         ArrivalSchedule, BatchOutcome, BatchStats, DecomposedConfig, GeneralRouter, Job,
-        JobOutcome, JobRef, QueryEngine, RouteOutcome, RoutedDecomposition, Router, RouterConfig,
+        JobOutcome, JobRef, QueryEngine, RoutedDecomposition, Router, RouterConfig,
         RoutingAlgorithm, RoutingInstance, RoutingOutcome, RoutingService, ServiceConfig,
         ServiceStats, SortInstance, SortOutcome,
     };

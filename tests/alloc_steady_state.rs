@@ -2,37 +2,51 @@
 //!
 //! The dispersal round loop must not allocate: grouping, load
 //! counting, and congestion accounting all reuse the per-query scratch
-//! (see `exec::Scratch`). This binary installs a counting global
-//! allocator and asserts that a whole routing query allocates far
-//! fewer times than the round-loop volume (rounds × tokens) — the
-//! pre-scratch implementation built several `HashMap`s per round per
-//! flock and sat two orders of magnitude above the bound asserted
-//! here.
+//! (see `exec::Scratch`). This binary installs a global allocator
+//! that counts allocations per thread and asserts that a whole
+//! routing query allocates far fewer times than the round-loop volume
+//! (rounds × tokens) — the pre-scratch implementation built several
+//! `HashMap`s per round per flock and sat two orders of magnitude above
+//! the bound asserted here.
 
 use expander_core::{QueryEngine, Router, RouterConfig, RoutingInstance};
 use expander_graphs::generators;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Per-thread, not
+    /// process-global: sibling tests preprocess routers concurrently,
+    /// and their allocations must not land in this test's count. Solo
+    /// `route` and `with_threads(Some(1))` batches run inline on the
+    /// calling thread, so its count is the quantity under test.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates every operation to `System`; only adds a relaxed
-// counter bump on the allocation paths.
+fn count_allocation() {
+    // `try_with`: the allocator may run while a thread's locals are
+    // being torn down; those allocations belong to no measurement.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: delegates every operation to `System`; only adds a
+// thread-local counter bump on the allocation paths (const-initialised,
+// no destructor, so it never allocates itself).
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -44,10 +58,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Runs `f` and returns its output plus the allocations it made on the
+/// calling thread.
 fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (out, ALLOCATIONS.with(Cell::get) - before)
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //!
 //! * every token is delivered or reported exactly once, and flat
 //!   per-edge loads are consistent with the reported congestion
-//!   ([`RouteOutcome::verify`]);
+//!   ([`RoutingOutcome::verify`]);
 //! * deliverability is a graph property, not an algorithm property:
 //!   both baselines fail exactly the cross-component tokens, and the
 //!   decomposition router only ever fails a superset of those (it may
@@ -22,8 +22,8 @@
 //!   up to a documented constant factor (the paper's quality claim).
 
 use expander_baselines::{GreedyLocalRouting, SplicerRouting};
-use expander_core::arena::{RouteOutcome, RoutingAlgorithm};
-use expander_core::{DecomposedConfig, RoutedDecomposition, RoutingInstance};
+use expander_core::arena::RoutingAlgorithm;
+use expander_core::{DecomposedConfig, RoutedDecomposition, RoutingInstance, RoutingOutcome};
 use expander_graphs::{generators, ingest, metrics, Graph};
 
 /// Same zoo shape as `tests/topology_zoo.rs`, sized for tier-1 budgets.
@@ -77,6 +77,11 @@ fn cross_component(g: &Graph, inst: &RoutingInstance) -> Vec<usize> {
         .collect()
 }
 
+/// Indices of the tokens an outcome reports undeliverable.
+fn reported(out: &RoutingOutcome) -> Vec<usize> {
+    out.undeliverable.iter().map(|u| u.token).collect()
+}
+
 /// Every algorithm on every topology × workload: delivered-or-reported
 /// exactly once, loads consistent with congestion, and the undelivered
 /// sets relate exactly as connectivity dictates.
@@ -88,7 +93,7 @@ fn zoo_differential_shared_invariants() {
         let local = GreedyLocalRouting;
         for (wname, inst) in workloads(g.n()) {
             let entrants: [&dyn RoutingAlgorithm; 3] = [&rd, &splicer, &local];
-            let outs: Vec<RouteOutcome> = entrants
+            let outs: Vec<RoutingOutcome> = entrants
                 .iter()
                 .map(|a| {
                     a.route_instance(&g, &inst).unwrap_or_else(|e| {
@@ -107,27 +112,29 @@ fn zoo_differential_shared_invariants() {
             // Baselines deliver iff the endpoints are connected; the
             // decomposition may additionally report cross-piece pairs.
             let unreachable = cross_component(&g, &inst);
-            assert_eq!(outs[1].undelivered, unreachable, "{name}/{wname}: splicer reports");
-            assert_eq!(outs[2].undelivered, unreachable, "{name}/{wname}: local reports");
-            for &i in &unreachable {
+            assert_eq!(reported(&outs[1]), unreachable, "{name}/{wname}: splicer reports");
+            assert_eq!(reported(&outs[2]), unreachable, "{name}/{wname}: local reports");
+            let hierarchical_reports = reported(&outs[0]);
+            for i in &unreachable {
                 assert!(
-                    outs[0].undelivered.contains(&i),
+                    hierarchical_reports.contains(i),
                     "{name}/{wname}: hierarchical delivered token {i} across components"
                 );
             }
             // Where all three delivered everything, final positions are
             // the instance's destinations — one answer, three routes.
-            if outs.iter().all(|o| o.fully_delivered()) {
+            if outs.iter().all(RoutingOutcome::all_delivered) {
                 assert_eq!(outs[0].positions, outs[1].positions, "{name}/{wname}");
                 assert_eq!(outs[1].positions, outs[2].positions, "{name}/{wname}");
             }
             // Rounds are charged whenever some token actually moved.
             for (a, out) in entrants.iter().zip(&outs) {
+                let reports = reported(out);
                 let moved = inst
                     .tokens
                     .iter()
                     .enumerate()
-                    .any(|(i, t)| t.src != t.dst && !out.undelivered.contains(&i));
+                    .any(|(i, t)| t.src != t.dst && !reports.contains(&i));
                 assert_eq!(
                     out.rounds() > 0,
                     moved,
@@ -143,7 +150,7 @@ fn zoo_differential_shared_invariants() {
 /// Byte-identical determinism through the arena trait: the
 /// hierarchical adapter across build-thread counts, the baselines
 /// across repeated runs. Equality is full structural equality of
-/// [`RouteOutcome`], round ledger included.
+/// [`RoutingOutcome`], round ledger included.
 #[test]
 fn zoo_differential_outcomes_are_deterministic() {
     for (name, g) in zoo() {
@@ -213,11 +220,11 @@ fn hierarchical_congestion_competitive_on_certified_expanders() {
         let local = GreedyLocalRouting;
         for (wname, inst) in workloads(g.n()) {
             let h = rd.route_instance(&g, &inst).expect("valid");
-            assert!(h.fully_delivered(), "{name}/{wname}: fast path delivers everything");
+            assert!(h.all_delivered(), "{name}/{wname}: fast path delivers everything");
             assert!(
-                h.max_congestion <= ceiling,
+                h.stats.max_congestion <= ceiling,
                 "{name}/{wname}: hierarchical congestion {} above the O(log n) ceiling {ceiling}",
-                h.max_congestion
+                h.stats.max_congestion
             );
             if wname != "permutation" {
                 continue;
@@ -227,10 +234,10 @@ fn hierarchical_congestion_competitive_on_certified_expanders() {
                 local.route_instance(&g, &inst).expect("valid"),
             ] {
                 assert!(
-                    h.max_congestion <= SLACK * b.max_congestion.max(1),
+                    h.stats.max_congestion <= SLACK * b.stats.max_congestion.max(1),
                     "{name}/{wname}: hierarchical congestion {} vs baseline {} (slack {SLACK})",
-                    h.max_congestion,
-                    b.max_congestion
+                    h.stats.max_congestion,
+                    b.stats.max_congestion
                 );
             }
         }
