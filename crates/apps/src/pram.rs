@@ -161,7 +161,7 @@ impl<'r> PramMachine<'r> {
             let batch =
                 self.engine.run_refs(&[JobRef::Sort(&sort_probe), JobRef::Route(&write_inst)])?;
             debug_assert!(matches!(batch.outcomes[0], JobOutcome::Sort(_)));
-            self.rounds += batch.stats.total_rounds;
+            self.rounds += batch.stats.merged.total();
             for (&cell, &(_, v)) in &winners {
                 self.memory[cell as usize] = v;
             }

@@ -64,54 +64,15 @@ impl RoundLedger {
     }
 
     /// Adds all of `other`'s charges into `self`.
+    ///
+    /// Parallel build tasks and batch jobs each charge a private
+    /// [`RoundLedger::new`]; the caller merges them in canonical task
+    /// order. Because charges are per-phase sums, the result is
+    /// byte-identical to charging everything through one ledger
+    /// sequentially.
     pub fn merge(&mut self, other: &RoundLedger) {
         for (phase, rounds) in other.breakdown() {
             self.charge(phase, rounds);
-        }
-    }
-
-    /// Forks an empty child ledger for an independent build task.
-    ///
-    /// Parallel preprocessing stages hand each task a forked ledger to
-    /// charge into privately; the parent then [`absorb`]s the children
-    /// in canonical task order. Because charges are per-phase sums,
-    /// the result is byte-identical to charging everything through one
-    /// ledger sequentially — which is exactly what the single-threaded
-    /// build path does.
-    ///
-    /// [`absorb`]: RoundLedger::absorb
-    pub fn fork(&self) -> RoundLedger {
-        RoundLedger::new()
-    }
-
-    /// Forks `n` empty child ledgers at once — one per logical job of a
-    /// batch or fused scan.
-    ///
-    /// Fused query execution runs one shared scan over many logical
-    /// instances; correctness requires every charge to be attributed to
-    /// exactly one job's ledger (the demultiplexing discipline of the
-    /// batch engine). Handing each job its own forked child up front
-    /// makes that attribution structural: a shared-scan charge site
-    /// writes to the job's child, and the batch absorbs the children in
-    /// canonical job order afterwards — byte-identical to running the
-    /// jobs sequentially through one ledger each.
-    pub fn fork_many(&self, n: usize) -> Vec<RoundLedger> {
-        (0..n).map(|_| self.fork()).collect()
-    }
-
-    /// Absorbs child ledgers produced by [`fork`](RoundLedger::fork),
-    /// merging them into `self` in iteration (canonical task) order.
-    pub fn absorb(&mut self, children: impl IntoIterator<Item = RoundLedger>) {
-        for child in children {
-            self.merge(&child);
-        }
-    }
-
-    /// Like [`absorb`](RoundLedger::absorb) but over borrowed ledgers —
-    /// the batch engine merges per-job ledgers it still owns elsewhere.
-    pub fn absorb_refs<'a>(&mut self, children: impl IntoIterator<Item = &'a RoundLedger>) {
-        for child in children {
-            self.merge(child);
         }
     }
 }
@@ -164,56 +125,25 @@ mod tests {
     }
 
     #[test]
-    fn fork_and_absorb_match_sequential_charging() {
+    fn per_task_ledgers_merged_in_task_order_match_sequential_charging() {
         // Sequential reference: everything through one ledger.
         let mut seq = RoundLedger::new();
         seq.charge("a", 5);
         seq.charge("b", 7);
         seq.charge("a", 3);
-        // Forked: two child tasks, absorbed in task order.
+        // Per-task: two private ledgers, merged in task order.
         let mut parent = RoundLedger::new();
         parent.charge("a", 5);
-        let mut c1 = parent.fork();
+        let mut c1 = RoundLedger::new();
         c1.charge("b", 7);
-        let mut c2 = parent.fork();
+        let mut c2 = RoundLedger::new();
         c2.charge("a", 3);
         assert_eq!(c1.total(), 7);
-        parent.absorb([c1, c2]);
-        assert_eq!(parent, seq, "forked charging must be byte-identical");
+        for child in [&c1, &c2] {
+            parent.merge(child);
+        }
+        assert_eq!(parent, seq, "per-task charging must be byte-identical");
         assert_eq!(format!("{parent}"), format!("{seq}"));
-    }
-
-    #[test]
-    fn fork_many_children_absorb_like_sequential_jobs() {
-        // Two jobs charged through one ledger sequentially…
-        let mut seq = RoundLedger::new();
-        seq.charge("portal", 4);
-        seq.charge("merge", 1);
-        seq.charge("portal", 6);
-        // …versus the same charges demultiplexed into forked per-job
-        // children out of a shared scan.
-        let parent = RoundLedger::new();
-        let mut children = parent.fork_many(2);
-        children[0].charge("portal", 4);
-        children[1].charge("portal", 6);
-        children[0].charge("merge", 1);
-        let mut batch = parent;
-        batch.absorb(children);
-        assert_eq!(batch, seq);
-    }
-
-    #[test]
-    fn absorb_refs_matches_absorb() {
-        let mut c1 = RoundLedger::new();
-        c1.charge("a", 2);
-        let mut c2 = RoundLedger::new();
-        c2.charge("b", 3);
-        let mut by_value = RoundLedger::new();
-        by_value.absorb([c1.clone(), c2.clone()]);
-        let mut by_ref = RoundLedger::new();
-        by_ref.absorb_refs([&c1, &c2]);
-        assert_eq!(by_value, by_ref);
-        assert_eq!(by_ref.total(), 5);
     }
 
     #[test]

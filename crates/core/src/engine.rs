@@ -25,7 +25,7 @@
 //!   Task 2 tree in lockstep and each node's Task 3 dispersal runs as
 //!   one shared round plan over all of their flocks: per-job grouping
 //!   keys keep buckets, landing loads, and Lemma 6.6 traces per job,
-//!   charges demultiplex into per-job forked ledgers, and each job's
+//!   charges demultiplex into per-job ledgers, and each job's
 //!   grouping/load accounting is maintained incrementally across
 //!   rounds instead of rescanned — which is what lets dense
 //!   full-permutation batches beat the ~2.9× dummy:real ceiling of
@@ -34,8 +34,8 @@
 //!   the same pipeline (the per-group-overhead baseline).
 //!
 //! All three are accelerators only: every job is a pure function of
-//! its instance and the router, jobs charge forked [`RoundLedger`]s
-//! that the batch absorbs in canonical job order, and the per-job
+//! its instance and the router, jobs charge private [`RoundLedger`]s
+//! that the batch merges in canonical job order, and the per-job
 //! outcomes are byte-identical to individual
 //! [`Router::route`]/[`Router::sort`] calls at every thread count,
 //! batch order, and fusion width (`tests/batch_determinism.rs`,
@@ -160,43 +160,26 @@ impl JobOutcome {
 pub struct BatchStats {
     /// Jobs executed.
     pub jobs: usize,
-    /// Every job's ledger absorbed in canonical job order.
+    /// Every job's ledger merged in canonical job order; its
+    /// [`total`](RoundLedger::total) is the batch's charged rounds.
     pub merged: RoundLedger,
-    /// Sum of per-job charged rounds (equals `merged.total()`).
-    pub total_rounds: u64,
     /// The worst single job's charged rounds.
     pub max_rounds: u64,
     /// Element-wise aggregate of the per-job [`QueryStats`] (sums for
-    /// counters, element-wise maxima for the load trace and the
-    /// congestion/dilation observations).
+    /// counters and phase traffic, element-wise maxima for the load
+    /// trace and the congestion/dilation observations).
     pub query: QueryStats,
-    /// Phase-traffic breakdown of the batch (tokens moved, buckets
-    /// touched, bytes traversed per phase). All-zero unless the crate
-    /// is built with `--features profile` — see [`crate::profile`].
-    pub profile: crate::profile::RouteProfile,
 }
 
 impl BatchStats {
     fn collect(outcomes: &[JobOutcome]) -> BatchStats {
         let mut stats = BatchStats { jobs: outcomes.len(), ..BatchStats::default() };
-        stats.merged.absorb_refs(outcomes.iter().map(JobOutcome::ledger));
-        stats.total_rounds = stats.merged.total();
         for out in outcomes {
+            stats.merged.merge(out.ledger());
             stats.max_rounds = stats.max_rounds.max(out.rounds());
             stats.query.absorb(out.stats());
         }
         stats
-    }
-
-    /// The worst per-edge congestion observed by any job's measured
-    /// movement legs.
-    pub fn max_congestion(&self) -> u64 {
-        self.query.max_congestion
-    }
-
-    /// The worst path dilation observed by any job.
-    pub fn max_dilation(&self) -> u64 {
-        self.query.max_dilation
     }
 }
 
@@ -267,8 +250,8 @@ impl ScratchPool {
 /// ];
 /// let batch = engine.run(&jobs).expect("valid jobs");
 /// assert_eq!(batch.stats.jobs, 3);
-/// assert_eq!(batch.stats.total_rounds, batch.stats.merged.total());
-/// assert!(batch.stats.max_congestion() > 0 && batch.stats.max_dilation() > 0);
+/// assert!(batch.stats.max_rounds <= batch.stats.merged.total());
+/// assert!(batch.stats.query.max_congestion > 0 && batch.stats.query.max_dilation > 0);
 /// assert_eq!(batch.outcomes.len(), jobs.len());
 /// ```
 #[derive(Debug)]
@@ -375,8 +358,8 @@ impl<'r> QueryEngine<'r> {
     /// into fusion groups of consecutive jobs (submission order; see
     /// [`with_fusion_width`](Self::with_fusion_width)) that workers
     /// execute as fused units against pooled scratches, each job
-    /// charging a forked ledger; outcomes come back in submission order
-    /// and the batch aggregate absorbs the per-job ledgers in that same
+    /// charging a private ledger; outcomes come back in submission order
+    /// and the batch aggregate merges the per-job ledgers in that same
     /// canonical order.
     ///
     /// # Errors
@@ -387,7 +370,6 @@ impl<'r> QueryEngine<'r> {
         for &job in jobs {
             self.router.validate(job)?;
         }
-        crate::profile::reset();
         let workers = build_threads(self.threads);
         let budget = ThreadBudget::new(workers);
         let width = self.fusion_width(jobs.len(), workers);
@@ -407,8 +389,7 @@ impl<'r> QueryEngine<'r> {
             });
             grouped.into_iter().flatten().collect()
         };
-        let mut stats = BatchStats::collect(&outcomes);
-        stats.profile = crate::profile::take();
+        let stats = BatchStats::collect(&outcomes);
         Ok(BatchOutcome { outcomes, stats })
     }
 
@@ -551,9 +532,10 @@ mod tests {
             assert_eq!(format!("{:?}", out.stats), format!("{:?}", solo.stats));
         }
         let mut merged = RoundLedger::new();
-        merged.absorb_refs(outs.iter().map(|o| &o.ledger));
+        for out in &outs {
+            merged.merge(&out.ledger);
+        }
         assert_eq!(stats.merged, merged);
-        assert_eq!(stats.total_rounds, merged.total());
     }
 
     #[test]
@@ -605,9 +587,9 @@ mod tests {
         assert!(matches!(batch.outcomes[0], JobOutcome::Sort(_)));
         assert!(matches!(batch.outcomes[1], JobOutcome::Route(_)));
         assert!(matches!(batch.outcomes[2], JobOutcome::Sort(_)));
-        assert!(batch.stats.max_rounds <= batch.stats.total_rounds);
-        assert!(batch.stats.max_congestion() > 0);
-        assert!(batch.stats.max_dilation() > 0);
+        assert!(batch.stats.max_rounds <= batch.stats.merged.total());
+        assert!(batch.stats.query.max_congestion > 0);
+        assert!(batch.stats.query.max_dilation > 0);
     }
 
     /// Every observable byte of one job outcome (positions included).
@@ -686,7 +668,7 @@ mod tests {
         let batch = engine.run(&[]).expect("valid");
         assert!(batch.outcomes.is_empty());
         assert_eq!(batch.stats.jobs, 0);
-        assert_eq!(batch.stats.total_rounds, 0);
+        assert_eq!(batch.stats.merged.total(), 0);
     }
 
     #[test]

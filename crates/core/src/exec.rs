@@ -22,7 +22,7 @@
 //! [`Router::route`]/[`Router::sort`] call, a width-1 engine batch, and
 //! a fused group all run `run_fused_with` — a group's flocks through
 //! one shared round plan with per-job grouping keys, per-job
-//! (forked-ledger) charge attribution, incremental load/bucket
+//! ledger and stats attribution, incremental load/bucket
 //! maintenance, and a single shared dummy contribution per `(node, L)`.
 //! A solo job is simply a singleton group, so outcomes are
 //! byte-identical across every grouping by construction
@@ -42,7 +42,6 @@
 //! | Real/dummy pairing and escort-back (§6.3) | `merge_fused`, `DummyEntry` |
 
 use crate::engine::{JobOutcome, JobRef};
-use crate::profile;
 
 use crate::router::Router;
 use crate::token::{QueryStats, RoutingInstance, RoutingOutcome, SortInstance, SortOutcome};
@@ -701,7 +700,7 @@ impl Scratch {
 }
 
 /// Per-query execution state over a preprocessed [`Router`]: the
-/// job's token positions/markers plus the (possibly batch-forked)
+/// job's token positions/markers plus the per-job
 /// ledger and stats it charges into.
 ///
 /// The shared mutable buffers live in a caller-provided (possibly
@@ -1268,7 +1267,7 @@ struct Span {
 /// Executes a group of co-scheduled jobs in lockstep over the Task 2
 /// recursion, fusing each node's Task 3 dispersal across the group:
 /// one shared round loop scans every job's flock with per-job grouping
-/// keys and per-job (forked-ledger) charge attribution, against a
+/// keys and per-job ledger and stats attribution, against a
 /// single dummy-dispersal entry per `(node, L)` shared by the whole
 /// group. Per-job outcomes are independent of the grouping
 /// (`tests/batch_determinism`, `tests/property`).
@@ -1277,9 +1276,9 @@ pub(crate) fn run_fused<'a>(
     scratch: &mut Scratch,
     jobs: &[JobRef<'a>],
 ) -> Vec<JobOutcome> {
-    // Each job charges its own forked ledger: the demultiplexing
-    // targets every shared-scan charge site writes through.
-    run_fused_with(r, scratch, jobs, RoundLedger::new().fork_many(jobs.len()))
+    // Each job charges its own ledger: the demultiplexing targets
+    // every shared-scan charge site writes through.
+    run_fused_with(r, scratch, jobs, vec![RoundLedger::new(); jobs.len()])
 }
 
 /// Runs one job as a singleton group, charging into `ledger` — the solo
@@ -1387,10 +1386,10 @@ fn task2_fused(
             exec.mark_of[t] = j as u16;
             exec.marker[t] = iz - prefix[j];
         }
+        // marker u32 read + write, mark u16 write, rank_part u16 read.
+        let rewritten = (sp.hi - sp.lo) as u64;
+        exec.stats.profile.task2.add(rewritten, nd.parts.len() as u64, rewritten * 12);
     }
-    let rewritten: u64 = spans.iter().map(|sp| (sp.hi - sp.lo) as u64).sum();
-    // marker u32 read + write, mark u16 write, rank_part u16 read.
-    profile::record(profile::Phase::Task2, rewritten, nd.parts.len() as u64, rewritten * 12);
 
     // Fused Task 3: every job's flock through one shared round plan.
     task3_fused(r, scratch, slots, node, spans);
@@ -1494,14 +1493,16 @@ fn task3_fused(
         st.l = u64::from(st.pmax[..t].iter().copied().max().unwrap_or(0)).max(1);
         // pos u32 + mark u16 read, bucket u32 + vload u32 write.
         let pushed = (sp.hi - sp.lo) as u64;
-        profile::record(profile::Phase::Task3, pushed, (t * t) as u64, pushed * 14);
+        exec.stats.profile.task3.add(pushed, (t * t) as u64, pushed * 14);
     }
 
     // One shared dummy entry per distinct observed load: taken from the
     // cross-batch cache or built once — never once per job. Built
     // before the dispersal sweep (the loads are known from prep, and
     // the builds are independent of the real flocks) so each job's
-    // dispersal can run straight into its merge below.
+    // dispersal can run straight into its merge below. A build runs
+    // on a throwaway executor, so its phase traffic stays out of every
+    // job's stats (shared work, counted by no job).
     let mut entries: Vec<(u64, DummyEntry)> = Vec::new();
     for st in &states[..spans.len()] {
         if !entries.iter().any(|&(l, _)| l == st.l) {
@@ -1546,7 +1547,7 @@ fn task3_fused(
 /// state (buckets and per-part load maxima maintained move by move,
 /// not rescanned), so the state stays cache-resident for the whole
 /// dispersal and the merge that follows. Charges land in the job's
-/// forked ledger; congestion/dilation accumulate through the shared
+/// own ledger; congestion/dilation accumulate through the shared
 /// scratch accumulator, reset per round, so the per-job
 /// demultiplexing is exact.
 fn disperse_fused(
@@ -1651,12 +1652,7 @@ fn disperse_fused(
         // Full scan streamed every bucket entry (u32) once; each
         // selected move wrote a (u32, u32) pair.
         let moved = st.moves.len() as u64;
-        profile::record(
-            profile::Phase::Disperse,
-            moved,
-            (t * t) as u64,
-            st.pos.len() as u64 * 4 + moved * 8,
-        );
+        exec.stats.profile.disperse.add(moved, (t * t) as u64, st.pos.len() as u64 * 4 + moved * 8);
         st.total_cost += observe_mc(&mut exec.stats, &scratch.mc);
         st.apply_moves(t, part_of);
     }
@@ -1786,7 +1782,7 @@ fn merge_fused(
     // Pairing streamed every real's bucket entry (u32) and wrote its
     // landing position (u32).
     let reals = st.pos.len() as u64;
-    profile::record(profile::Phase::Merge, reals, (t * t) as u64, reals * 8);
+    exec.stats.profile.merge.add(reals, (t * t) as u64, reals * 8);
 
     // Postcondition: every real token is inside its marked part.
     debug_assert!((0..st.pos.len()).all(|i| part_of[st.pos[i] as usize] == st.mark[i]));

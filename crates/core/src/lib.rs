@@ -106,7 +106,6 @@ pub mod exec;
 pub mod general;
 pub mod network;
 pub mod ops;
-pub mod profile;
 pub mod router;
 pub mod service;
 pub mod token;
@@ -116,12 +115,12 @@ pub use churn::{ChurnConfig, ChurnOutcome, ChurnRouter, DeliveryMode};
 pub use decomposed::{DecomposedConfig, FallbackReason, RoutedDecomposition};
 pub use engine::{BatchOutcome, BatchStats, Job, JobOutcome, JobRef, QueryEngine};
 pub use general::GeneralRouter;
-pub use profile::{PhaseProfile, RouteProfile};
 pub use router::{Router, RouterConfig};
 pub use service::{
     ArrivalSchedule, RoutingService, ServiceConfig, ServiceHandle, ServiceStats, SubmitError,
     TenantCounters, Ticket,
 };
 pub use token::{
-    RoutingInstance, RoutingOutcome, SortInstance, SortOutcome, Undeliverable, UndeliverableReason,
+    PhaseProfile, RouteProfile, RoutingInstance, RoutingOutcome, SortInstance, SortOutcome,
+    Undeliverable, UndeliverableReason,
 };

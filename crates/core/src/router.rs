@@ -402,16 +402,15 @@ impl Router {
         // embedding flattening, and the FlatPaths/RoundTable lowering
         // for internal nodes) reads only the immutable hierarchy, so
         // the non-salvaged nodes fan out across the thread budget. Each
-        // task charges a forked ledger; absorbing every node's ledger
+        // task charges a private ledger; merging every node's ledger
         // in node order below keeps the preprocessing ledger
         // byte-identical to the sequential build.
         let budget = parallel::ThreadBudget::new(parallel::build_threads(config.hierarchy.threads));
         let prepped: Vec<(RoundLedger, NodePrep)> = {
-            let ledger_parent = &pre_ledger;
             let fresh_ids = &fresh;
             parallel::run_tasks(&budget, fresh_ids.len(), |task| {
                 let id = fresh_ids[task];
-                let mut ledger = ledger_parent.fork();
+                let mut ledger = RoundLedger::new();
                 let nd = hier.node(id);
                 if nd.is_leaf() {
                     let net = EmbeddedNetwork::build(&hier, id);
@@ -692,7 +691,7 @@ impl Router {
     /// Executes one *validated* job: the single entry point behind
     /// [`Router::route`], [`Router::sort`], and the batch engine. The
     /// caller provides the (possibly pooled) scratch and the (possibly
-    /// batch-forked) ledger the query charges into. Runs as a singleton
+    /// per-job) ledger the query charges into. Runs as a singleton
     /// group of the fused pipeline, so the outcome is byte-identical to
     /// the same job inside any fused batch.
     pub(crate) fn execute(

@@ -290,6 +290,76 @@ impl fmt::Display for InstanceError {
 
 impl Error for InstanceError {}
 
+/// Traffic counters for one execution phase of a query.
+///
+/// Byte counts are traffic *estimates* from the known element widths
+/// of the arenas each phase streams (`u32` positions/bucket entries,
+/// `u16` marks, `(u32, u32)` move pairs), not hardware counters: they
+/// exist to rank phases and spot bandwidth regressions, not to match
+/// `perf stat`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseProfile {
+    /// Tokens the phase relocated (marker rewrites, dispersal moves,
+    /// merge landings).
+    pub tokens_moved: u64,
+    /// Buckets / groups the phase visited (counting-sort rows, `t × t`
+    /// group cells, merge groups).
+    pub buckets_touched: u64,
+    /// Estimated bytes streamed through the phase's arenas.
+    pub bytes_traversed: u64,
+}
+
+impl PhaseProfile {
+    /// Adds one pass of the phase.
+    pub(crate) fn add(&mut self, tokens: u64, buckets: u64, bytes: u64) {
+        self.tokens_moved += tokens;
+        self.buckets_touched += buckets;
+        self.bytes_traversed += bytes;
+    }
+
+    /// Element-wise sum.
+    pub fn absorb(&mut self, other: &PhaseProfile) {
+        self.add(other.tokens_moved, other.buckets_touched, other.bytes_traversed);
+    }
+}
+
+/// Phase breakdown of one query's hot-path traffic.
+///
+/// Dummy-flock dispersals are shared, cached work and are not counted,
+/// so a job's profile is independent of cache state, fusion width and
+/// thread count like the rest of its [`QueryStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RouteProfile {
+    /// Task 2 marker rewrites (§6, recursion spine).
+    pub task2: PhaseProfile,
+    /// Task 3 prep: counting-sort token partitioning into `(part,
+    /// mark)` buckets.
+    pub task3: PhaseProfile,
+    /// The §6.1 dispersal round scans (token selection + moves).
+    pub disperse: PhaseProfile,
+    /// The §6.3 merge: dummy pairing, fallback escorts, writeback.
+    pub merge: PhaseProfile,
+}
+
+impl RouteProfile {
+    /// Total traffic across all phases.
+    pub fn total(&self) -> PhaseProfile {
+        let mut t = self.task2;
+        t.absorb(&self.task3);
+        t.absorb(&self.disperse);
+        t.absorb(&self.merge);
+        t
+    }
+
+    /// Element-wise sum, phase by phase.
+    pub(crate) fn absorb(&mut self, other: &RouteProfile) {
+        self.task2.absorb(&other.task2);
+        self.task3.absorb(&other.task3);
+        self.disperse.absorb(&other.disperse);
+        self.merge.absorb(&other.merge);
+    }
+}
+
 /// Statistics collected while executing a query.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryStats {
@@ -316,6 +386,8 @@ pub struct QueryStats {
     pub max_congestion: u64,
     /// Worst path dilation (hops) observed across those legs.
     pub max_dilation: u64,
+    /// Per-phase traffic of the query's Task 2/3 hot path.
+    pub profile: RouteProfile,
 }
 
 impl QueryStats {
@@ -333,8 +405,9 @@ impl QueryStats {
     }
 
     /// Folds another record into `self` the way batch aggregation
-    /// does: sums for the counters, element-wise maxima for the load
-    /// trace and the congestion/dilation observations.
+    /// does: sums for the counters and the phase traffic, element-wise
+    /// maxima for the load trace and the congestion/dilation
+    /// observations.
     pub fn absorb(&mut self, other: &QueryStats) {
         self.max_congestion = self.max_congestion.max(other.max_congestion);
         self.max_dilation = self.max_dilation.max(other.max_dilation);
@@ -343,6 +416,7 @@ impl QueryStats {
         self.dispersion_checked += other.dispersion_checked;
         self.task3_calls += other.task3_calls;
         self.charged_sorts += other.charged_sorts;
+        self.profile.absorb(&other.profile);
         self.absorb_trace_maxima(&other.max_load_trace);
     }
 }
@@ -676,6 +750,21 @@ mod tests {
         flags("reported token moved", |o| o.positions[1] = 5, "moved 1 -> 5");
         flags("neither delivered nor reported", |o| o.undeliverable.clear(), "neither");
         flags("loads disagree with congestion", |o| o.stats.max_congestion = 3, "peak at 2");
+    }
+
+    #[test]
+    fn stats_absorb_sums_phase_traffic() {
+        let pass = PhaseProfile { tokens_moved: 2, buckets_touched: 3, bytes_traversed: 4 };
+        let one = QueryStats {
+            profile: RouteProfile { task2: pass, merge: pass, ..RouteProfile::default() },
+            ..QueryStats::default()
+        };
+        let mut sum = one.clone();
+        sum.absorb(&one);
+        assert_eq!(sum.profile.task2.tokens_moved, 4);
+        assert_eq!(sum.profile.merge.buckets_touched, 6);
+        assert_eq!(sum.profile.disperse, PhaseProfile::default());
+        assert_eq!(sum.profile.total().bytes_traversed, 16);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! accounting. [`Hierarchy::build`] therefore runs as a staged
 //! pipeline: probe proposals execute in parallel (packing stays
 //! sequential per iteration — the parts share the host's edge budget),
-//! and sibling subtrees build into private node arenas with forked
+//! and sibling subtrees build into private node arenas with private
 //! [`RoundLedger`]s that splice back in part order. The arena splice
 //! reproduces the sequential DFS numbering exactly, so the output is
 //! byte-identical for every thread count
@@ -1100,7 +1100,7 @@ impl Builder<'_, '_> {
 
         // Recurse into the children and assemble the parts. Sibling
         // subtrees are independent, so each builds into a private
-        // arena with a forked ledger; splicing the arenas back in part
+        // arena with its own ledger; splicing the arenas back in part
         // order reproduces the sequential DFS numbering byte for byte.
         let level = self.nodes[node_id].level;
         let ctx = self.ctx;
@@ -1110,7 +1110,6 @@ impl Builder<'_, '_> {
         // surfaced error is thread-count invariant.
         let built: Vec<Result<SubtreeBuild, BuildError>> = {
             let parent_flat = self.nodes[node_id].flat.as_ref();
-            let parent_ledger = &self.ledger;
             parallel::map_tasks(&ctx.budget, game_parts, |pi, gp| {
                 // A spliced span is a verified-equal clone of what this
                 // part would build; its stored ledger delta replays the
@@ -1126,7 +1125,7 @@ impl Builder<'_, '_> {
                     let p = rc.old.nodes[rc.node].parts.get(pi)?;
                     Some(ReuseCtx { old: rc.old, node: p.child })
                 });
-                let mut sub = Builder::new(ctx, parent_ledger.fork());
+                let mut sub = Builder::new(ctx, RoundLedger::new());
                 let local_root =
                     sub.build_subtree(None, parent_flat, gp, level + 1, child_reuse)?;
                 debug_assert_eq!(local_root, 0, "subtree root leads its arena");

@@ -77,10 +77,10 @@ fn run_shape(router: &Router, label: &str, insts: &[RoutingInstance], threads: u
     println!(
         "batch: {} jobs, {} total rounds (max {} per job), worst congestion {}, dilation {}",
         stats1.jobs,
-        stats1.total_rounds,
+        stats1.merged.total(),
         stats1.max_rounds,
-        stats1.max_congestion(),
-        stats1.max_dilation()
+        stats1.query.max_congestion,
+        stats1.query.max_dilation
     );
     println!("outputs byte-identical across sequential / per-job / fused / engine({threads})");
 }

@@ -1,11 +1,9 @@
 //! Phase-breakdown profile of a fused query batch: tokens moved,
 //! buckets touched, and estimated bytes traversed per execution phase
-//! (Task 2 / Task 3 prep / dispersal scans / merge).
+//! (Task 2 / Task 3 prep / dispersal scans / merge), summed over the
+//! batch's per-job `QueryStats::profile`.
 //!
-//! Run with: `cargo run --release --features profile --example route_profile`
-//!
-//! Without `--features profile` the counters compile to nothing and the
-//! table prints all zeros (the example says so instead of guessing).
+//! Run with: `cargo run --release --example route_profile`
 
 use expander_routing::core::{PhaseProfile, RouteProfile};
 use expander_routing::prelude::*;
@@ -42,20 +40,16 @@ fn main() {
     let jobs: Vec<Job> =
         (0..batch).map(|i| Job::Route(RoutingInstance::permutation(n, 1000 + i as u64))).collect();
 
-    // Warm run fills the dummy cache and the scratch pool; the profiled
-    // run then shows the steady-state traffic a served batch costs.
-    engine.run(&jobs).expect("valid jobs");
+    // Per-job counts leave out the shared, cached dummy-flock
+    // dispersals, so even this cold batch shows the steady-state
+    // traffic a served batch costs.
     let out = engine.run(&jobs).expect("valid jobs");
 
     println!(
         "batch: {} jobs on n = {n} (fusion width {batch}), {} total charged rounds\n",
-        out.stats.jobs, out.stats.total_rounds
+        out.stats.jobs,
+        out.stats.merged.total()
     );
-    if out.stats.profile.is_empty() {
-        println!("profile counters are all zero — rebuild with `--features profile`:");
-        println!("  cargo run --release --features profile --example route_profile");
-        return;
-    }
     println!("steady-state phase traffic (whole batch):");
-    print_table(&out.stats.profile);
+    print_table(&out.stats.query.profile);
 }

@@ -80,7 +80,7 @@ fn main() {
         "engine batch fused   (B = {b}, L = 1): {dt:.2?}  ({:.1} queries/s, {} total rounds, \
          {:.2}× per-job)",
         b as f64 / dt.as_secs_f64(),
-        stats.total_rounds,
+        stats.merged.total(),
         dt_pj.as_secs_f64() / dt.as_secs_f64()
     );
 }

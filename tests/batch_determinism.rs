@@ -105,10 +105,7 @@ fn batch_is_thread_count_invariant() {
             format!("{}", par.stats.merged),
             "n = {n}: merged ledger rendering differs"
         );
-        assert_eq!(seq.stats.total_rounds, par.stats.total_rounds);
         assert_eq!(seq.stats.max_rounds, par.stats.max_rounds);
-        assert_eq!(seq.stats.max_congestion(), par.stats.max_congestion());
-        assert_eq!(seq.stats.max_dilation(), par.stats.max_dilation());
         assert_eq!(
             format!("{:?}", seq.stats.query),
             format!("{:?}", par.stats.query),
@@ -174,4 +171,14 @@ fn repeated_batches_are_stable() {
         assert_eq!(fingerprint(a), fingerprint(b), "job {i} drifted on a warm engine");
     }
     assert_eq!(first.stats.merged, second.stats.merged);
+    // Cold (dummy dispersals built) and warm (replayed from the cache)
+    // aggregate the same per-job stats, phase traffic included.
+    assert_eq!(first.stats.query, second.stats.query);
+    // The batch's permutation routes move tokens in every phase.
+    let p = first.stats.query.profile;
+    for (phase, traffic) in
+        [("task2", p.task2), ("task3", p.task3), ("disperse", p.disperse), ("merge", p.merge)]
+    {
+        assert!(traffic.tokens_moved > 0, "{phase} recorded no moved tokens");
+    }
 }

@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-const EXAMPLES: [&str; 11] = [
+const EXAMPLES: [&str; 12] = [
     "quickstart",
     "baseline_comparison",
     "mst_expander",
@@ -16,6 +16,7 @@ const EXAMPLES: [&str; 11] = [
     "general_degree",
     "scale_probe",
     "batch_throughput",
+    "route_profile",
     "service_throughput",
     "zoo_report",
     "churn_report",
