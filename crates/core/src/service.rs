@@ -19,7 +19,7 @@
 //!        │ `try_submit` fails fast with `SubmitError::Saturated`
 //!        ▼
 //! admission scheduler (per worker): grow a group until
-//!        • it reaches the target fusion width            (density), or
+//!        • it reaches the engine's automatic fusion cap  (density), or
 //!        • the oldest job's deadline budget is half spent (deadline), or
 //!        • the intake has gone quiescent / is draining    (liveness)
 //!        ▼
@@ -70,7 +70,7 @@
 //! assert_eq!(stats.completed, 4);
 //! ```
 
-use crate::engine::{Job, JobOutcome, JobRef, QueryEngine};
+use crate::engine::{Job, JobOutcome, JobRef, QueryEngine, MAX_AUTO_FUSION_WIDTH};
 use crate::token::InstanceError;
 use congest_sim::parallel::{build_threads, run_workers, IdleBackoff};
 use std::collections::VecDeque;
@@ -115,9 +115,6 @@ pub struct ServiceConfig {
     /// Worker-thread count (`None`: `EXPANDER_BUILD_THREADS`, then
     /// `available_parallelism` — the same resolution as the engine).
     pub threads: Option<usize>,
-    /// Fusion width at which a growing group closes on density
-    /// (`None`: the engine's automatic cap of 32 jobs per group).
-    pub target_width: Option<usize>,
     /// Per-job deadline budget: a group closes once its oldest job's
     /// budget is half spent, bounding the formation latency a job can
     /// pay waiting for co-scheduled density.
@@ -143,7 +140,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             threads: None,
-            target_width: None,
             deadline: Duration::from_millis(2),
             max_in_flight: usize::MAX,
             tenants: 1,
@@ -180,7 +176,6 @@ struct TenantQueue {
 struct Shared<'e, 'r> {
     engine: &'e QueryEngine<'r>,
     config: ServiceConfig,
-    width: usize,
     /// One intake shard per worker; submissions round-robin across
     /// shards and workers steal from later shards when theirs runs dry.
     shards: Vec<Mutex<VecDeque<Pending>>>,
@@ -398,12 +393,10 @@ impl RoutingService {
         B: FnOnce(&ServiceHandle<'_, '_, '_>) -> T + Send,
     {
         let workers = build_threads(config.threads);
-        let width = config.target_width.unwrap_or(crate::engine::MAX_AUTO_FUSION_WIDTH).max(1);
         let tenants = config.tenants.max(1);
         let shared = Shared {
             engine,
             config,
-            width,
             shards: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             next_shard: AtomicUsize::new(0),
             next_ticket: AtomicU64::new(0),
@@ -486,7 +479,7 @@ fn worker_loop(sh: &Shared<'_, '_>, index: usize) -> WorkerStats {
         // others, up to the width the group still wants.
         let mut pulled = 0;
         for off in 0..sh.shards.len() {
-            let want = sh.width - group.len();
+            let want = MAX_AUTO_FUSION_WIDTH - group.len();
             if want == 0 {
                 break;
             }
@@ -521,7 +514,7 @@ fn worker_loop(sh: &Shared<'_, '_>, index: usize) -> WorkerStats {
 
         // Close the group on density, deadline, quiescence, or drain —
         // whichever happens first.
-        let density = group.len() >= sh.width;
+        let density = group.len() >= MAX_AUTO_FUSION_WIDTH;
         let deadline_half_spent =
             group[0].submitted_at.elapsed().saturating_mul(2) >= sh.config.deadline;
         let quiescent = last_activity.elapsed() >= sh.config.quiescent_after;

@@ -4,10 +4,11 @@
 //! in release mode (the examples preprocess four-digit-vertex expanders,
 //! which is slow without optimization).
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::Command;
 
-const EXAMPLES: [&str; 12] = [
+const EXAMPLES: [&str; 11] = [
     "quickstart",
     "baseline_comparison",
     "mst_expander",
@@ -15,7 +16,6 @@ const EXAMPLES: [&str; 12] = [
     "sorting_pipeline",
     "general_degree",
     "scale_probe",
-    "batch_throughput",
     "route_profile",
     "service_throughput",
     "zoo_report",
@@ -30,6 +30,14 @@ fn target_dir() -> PathBuf {
 
 #[test]
 fn examples_build_and_run() {
+    // No example may skip the smoke run or linger here once deleted.
+    let on_disk: BTreeSet<String> = std::fs::read_dir("examples")
+        .expect("read examples/")
+        .filter_map(|entry| entry.expect("examples/ entry").file_name().into_string().ok())
+        .filter_map(|name| name.strip_suffix(".rs").map(str::to_owned))
+        .collect();
+    assert_eq!(BTreeSet::from(EXAMPLES.map(String::from)), on_disk, "EXAMPLES ≠ examples/*.rs");
+
     let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
     let status = Command::new(&cargo)
         .current_dir(env!("CARGO_MANIFEST_DIR"))
