@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks: wall-clock of the heavy substrate
 //! operations (the experiment harness in `experiments.rs` measures
-//! charged rounds; this file measures simulator throughput).
+//! charged rounds; this file measures engine wall-clock throughput).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use expander_core::{Router, RouterConfig, RoutingInstance, SortInstance};

@@ -24,7 +24,7 @@ use std::fmt;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundLedger {
     total: u64,
-    by_phase: BTreeMap<String, u64>,
+    by_phase: BTreeMap<&'static str, u64>,
 }
 
 impl RoundLedger {
@@ -33,19 +33,14 @@ impl RoundLedger {
         RoundLedger::default()
     }
 
-    /// Charges `rounds` to `phase`.
-    pub fn charge(&mut self, phase: &str, rounds: u64) {
+    /// Charges `rounds` to `phase`. Phase labels are literals, so a
+    /// charge never allocates a key string.
+    pub fn charge(&mut self, phase: &'static str, rounds: u64) {
         if rounds == 0 {
             return;
         }
         self.total += rounds;
-        // Only a phase's *first* charge allocates its key; the query
-        // hot path charges the same few phases thousands of times.
-        if let Some(slot) = self.by_phase.get_mut(phase) {
-            *slot += rounds;
-        } else {
-            self.by_phase.insert(phase.to_owned(), rounds);
-        }
+        *self.by_phase.entry(phase).or_insert(0) += rounds;
     }
 
     /// Total charged rounds.
@@ -60,7 +55,7 @@ impl RoundLedger {
 
     /// Iterates over `(phase, rounds)` in lexicographic phase order.
     pub fn breakdown(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.by_phase.iter().map(|(k, &v)| (k.as_str(), v))
+        self.by_phase.iter().map(|(&k, &v)| (k, v))
     }
 
     /// Adds all of `other`'s charges into `self`.
@@ -71,7 +66,7 @@ impl RoundLedger {
     /// byte-identical to charging everything through one ledger
     /// sequentially.
     pub fn merge(&mut self, other: &RoundLedger) {
-        for (phase, rounds) in other.breakdown() {
+        for (&phase, &rounds) in &other.by_phase {
             self.charge(phase, rounds);
         }
     }

@@ -1,20 +1,16 @@
 #![warn(missing_docs)]
 
-//! A synchronous CONGEST-model simulator and the round-cost ledger used
-//! by the deterministic expander-routing engine.
+//! The CONGEST round-cost model used by the deterministic
+//! expander-routing engine, and the schedule executor that checks it.
 //!
-//! Two complementary facilities live here:
-//!
-//! 1. [`Simulator`] — a faithful message-passing simulator: vertices run
-//!    a [`VertexProgram`], exchange one `O(log n)`-bit message per edge
-//!    per round, and the harness counts rounds/messages/words. Library
-//!    programs (BFS, broadcast, convergecast, leader election) and the
-//!    store-and-forward [`path_sched`] scheduler live on top of it.
-//! 2. [`RoundLedger`] — the *charged* cost model the routing engine uses
+//! 1. [`RoundLedger`] — the *charged* cost model the routing engine uses
 //!    at scale. Every engine operation charges rounds derived from
 //!    measured congestion/dilation (Fact 2.2 and the `Q(f⁰)²` virtual
-//!    round simulation cost). The message-passing simulator is used in
-//!    tests to validate that the charges dominate real executions.
+//!    round simulation cost, see [`cost`]).
+//! 2. [`path_sched`] — executes a path set store-and-forward under the
+//!    CONGEST rule of one token per directed edge per round, so tests
+//!    and experiments can check that the charges dominate real
+//!    executions.
 //!
 //! The [`parallel`] module carries the deterministic task runner the
 //! staged preprocessing pipeline uses: independent build tasks execute
@@ -25,24 +21,27 @@
 //! # Example
 //!
 //! ```
-//! use congest_sim::{programs, Simulator};
-//! use expander_graphs::generators;
+//! use congest_sim::{path_sched, RoundLedger};
+//! use expander_graphs::{generators, Path, PathSet};
 //!
 //! let g = generators::hypercube(4);
-//! let sim = Simulator::new(&g);
-//! let (dist, stats) = programs::bfs(&sim, 0);
-//! assert_eq!(dist, g.bfs_distances(0));
-//! assert!(stats.rounds as u32 >= g.eccentricity(0));
+//! let mut paths = PathSet::new();
+//! for v in 1..g.n() as u32 {
+//!     paths.push(Path::new(g.shortest_path(0, v).unwrap()));
+//! }
+//! let executed = path_sched::schedule(&paths);
+//! assert!(executed.phase_rounds <= executed.charged_bound);
+//! assert!(executed.greedy_rounds <= executed.charged_bound);
+//!
+//! let mut ledger = RoundLedger::new();
+//! ledger.charge("broadcast", executed.charged_bound);
+//! assert_eq!(ledger.total(), executed.charged_bound);
 //! ```
 
 pub mod cost;
-pub mod forwarding;
 pub mod ledger;
 pub mod parallel;
 pub mod path_sched;
-pub mod programs;
-pub mod simulator;
 
 pub use ledger::RoundLedger;
 pub use parallel::ThreadBudget;
-pub use simulator::{Outbox, RunStats, Simulator, Status, VertexProgram};

@@ -31,7 +31,7 @@
 //!   full-permutation batches beat the ~2.9× dummy:real ceiling of
 //!   caching alone. [`with_fusion_width`](QueryEngine::with_fusion_width)
 //!   sizes the groups; width 1 runs each job as a singleton group of
-//!   the same pipeline (the per-group-overhead baseline).
+//!   the same pipeline.
 //!
 //! All three are accelerators only: every job is a pure function of
 //! its instance and the router, jobs charge private [`RoundLedger`]s
@@ -206,8 +206,8 @@ pub(crate) struct ScratchPool {
 
 impl ScratchPool {
     /// Checks a scratch out (a fresh one if the pool is empty). The
-    /// single reset point is `Router::execute`, which re-targets the
-    /// scratch at its router before every job.
+    /// single reset point is `exec::run_fused`, which re-targets the
+    /// scratch at its router before every group.
     fn checkout(&self, r: &Router) -> Scratch {
         self.slots.lock().expect("unpoisoned").pop().unwrap_or_else(|| Scratch::new(r))
     }
@@ -317,8 +317,7 @@ impl<'r> QueryEngine<'r> {
     /// round scan and one shared dummy-dispersal contribution per
     /// `(node, L)` across the group).
     ///
-    /// `Some(1)` runs every job as a singleton group — the
-    /// per-group-overhead baseline for benchmarking. `None` (the
+    /// `Some(1)` runs every job as a singleton group. `None` (the
     /// default) restores the automatic policy: split the batch evenly
     /// across the workers, capped at 32 jobs per group. Outputs are
     /// byte-identical for every width.
@@ -373,53 +372,28 @@ impl<'r> QueryEngine<'r> {
         let workers = build_threads(self.threads);
         let budget = ThreadBudget::new(workers);
         let width = self.fusion_width(jobs.len(), workers);
-        let outcomes = if width <= 1 {
-            // Width 1: per-job scheduling (each job a singleton group),
-            // kept selectable as the per-group-overhead baseline.
-            run_tasks(&budget, jobs.len(), |i| self.run_validated(jobs[i]))
-        } else {
-            let n_groups = jobs.len().div_ceil(width);
-            let grouped = run_tasks(&budget, n_groups, |g| {
-                let lo = g * width;
-                let hi = (lo + width).min(jobs.len());
-                let mut scratch = self.pool.checkout(self.router);
-                let outs = crate::exec::run_fused(self.router, &mut scratch, &jobs[lo..hi]);
-                self.pool.restore(scratch, self.router, self.scratch_cap);
-                outs
-            });
-            grouped.into_iter().flatten().collect()
-        };
+        let grouped = run_tasks(&budget, jobs.len().div_ceil(width), |g| {
+            let lo = g * width;
+            self.run_group_validated(&jobs[lo..(lo + width).min(jobs.len())])
+        });
+        let outcomes: Vec<JobOutcome> = grouped.into_iter().flatten().collect();
         let stats = BatchStats::collect(&outcomes);
         Ok(BatchOutcome { outcomes, stats })
     }
 
-    /// The single checkout → execute → restore protocol behind every
-    /// engine execution path. Each job charges a private ledger; batch
-    /// aggregates absorb them in canonical job order afterwards.
-    fn run_validated(&self, job: JobRef<'_>) -> JobOutcome {
-        let mut scratch = self.pool.checkout(self.router);
-        let out = self.router.execute(job, &mut scratch, RoundLedger::new());
-        self.pool.restore(scratch, self.router, self.scratch_cap);
-        out
-    }
-
     /// Executes one *pre-validated* fusion group against a pooled
-    /// scratch — the group-execution entry point of the streaming
-    /// [`RoutingService`](crate::service::RoutingService): its admission
-    /// scheduler decides the grouping and calls here per closed group.
-    /// Outcomes come back in group order and are byte-identical to the
-    /// same jobs anywhere else (solo calls, any batch, any width).
+    /// scratch: the single checkout → execute → restore protocol behind
+    /// every engine execution path — batch groups, `route_one`/
+    /// `sort_one`, and each closed group of the streaming
+    /// [`RoutingService`](crate::service::RoutingService). Each job
+    /// charges a private ledger; outcomes come back in group order and
+    /// are byte-identical to the same jobs anywhere else (solo calls,
+    /// any batch, any width).
     pub(crate) fn run_group_validated(&self, jobs: &[JobRef<'_>]) -> Vec<JobOutcome> {
-        match jobs.len() {
-            0 => Vec::new(),
-            1 => vec![self.run_validated(jobs[0])],
-            _ => {
-                let mut scratch = self.pool.checkout(self.router);
-                let outs = crate::exec::run_fused(self.router, &mut scratch, jobs);
-                self.pool.restore(scratch, self.router, self.scratch_cap);
-                outs
-            }
-        }
+        let mut scratch = self.pool.checkout(self.router);
+        let outs = crate::exec::run_fused(self.router, &mut scratch, jobs);
+        self.pool.restore(scratch, self.router, self.scratch_cap);
+        outs
     }
 
     /// Applies the scratch-cap trim (see
@@ -489,7 +463,8 @@ impl<'r> QueryEngine<'r> {
     pub fn route_one(&self, inst: &RoutingInstance) -> Result<RoutingOutcome, InstanceError> {
         let job = JobRef::Route(inst);
         self.router.validate(job)?;
-        Ok(self.run_validated(job).into_route().expect("route job yields route outcome"))
+        let out = self.run_group_validated(&[job]).pop();
+        Ok(out.and_then(JobOutcome::into_route).expect("route job yields route outcome"))
     }
 
     /// Sorts a single instance through the pooled scratch.
@@ -501,7 +476,8 @@ impl<'r> QueryEngine<'r> {
     pub fn sort_one(&self, inst: &SortInstance) -> Result<SortOutcome, InstanceError> {
         let job = JobRef::Sort(inst);
         self.router.validate(job)?;
-        Ok(self.run_validated(job).into_sort().expect("sort job yields sort outcome"))
+        let out = self.run_group_validated(&[job]).pop();
+        Ok(out.and_then(JobOutcome::into_sort).expect("sort job yields sort outcome"))
     }
 }
 
@@ -602,7 +578,7 @@ mod tests {
 
     #[test]
     fn fusion_widths_are_unobservable() {
-        // Width 1 (the legacy per-job path), uneven groups (width 2
+        // Width 1 (singleton groups), uneven groups (width 2
         // over 5 jobs leaves a remainder group of 1), one whole-batch
         // group, and the auto policy must all produce byte-identical
         // outcomes.

@@ -20,7 +20,7 @@
 //!
 //! Every execution shape is one pipeline: a solo
 //! [`Router::route`]/[`Router::sort`] call, a width-1 engine batch, and
-//! a fused group all run `run_fused_with` — a group's flocks through
+//! a fused group all run `run_fused` — a group's flocks through
 //! one shared round plan with per-job grouping keys, per-job
 //! ledger and stats attribution, incremental load/bucket
 //! maintenance, and a single shared dummy contribution per `(node, L)`.
@@ -718,10 +718,10 @@ pub(crate) struct Exec<'r> {
 }
 
 impl<'r> Exec<'r> {
-    pub(crate) fn new(r: &'r Router, ledger: RoundLedger) -> Self {
+    pub(crate) fn new(r: &'r Router) -> Self {
         Exec {
             r,
-            ledger,
+            ledger: RoundLedger::new(),
             stats: QueryStats::default(),
             pos: Vec::new(),
             marker: Vec::new(),
@@ -1003,12 +1003,10 @@ impl<'r> Exec<'r> {
 /// One job's incrementally maintained dispersal state inside a fused
 /// Task 3 call.
 ///
-/// The per-job (solo) dispersal rebuilds its `(part, mark)` counting
-/// sort and rescans every token's vertex load on every shuffler round,
-/// even though a round only moves the `⌊(m_ij/2)·|T_il|⌋` tokens the
-/// dispersal tables select — the rescans are what caps dense batches
-/// near the dummy:real ratio. The fused round plan instead keeps each
-/// job's grouping and load accounting *live* across rounds:
+/// A shuffler round only moves the `⌊(m_ij/2)·|T_il|⌋` tokens the
+/// dispersal tables select, so the round plan keeps each job's
+/// grouping and load accounting *live* across rounds instead of
+/// regrouping and rescanning every token each round:
 ///
 /// * `buckets[part · t + mark]` holds the job's token indices in
 ///   ascending order — exactly the bucket the per-round counting sort
@@ -1019,8 +1017,8 @@ impl<'r> Exec<'r> {
 ///   load maxima (the Lemma 6.6 quantities) under single-token
 ///   increments/decrements, so round charges read them in `O(t)`.
 ///
-/// Every maintained value is byte-identical to what the solo rescan
-/// computes; only the work to obtain it changes — proportional to the
+/// Every maintained value is byte-identical to what a full per-round
+/// regroup and rescan would compute; the work is proportional to the
 /// moved tokens and the buckets they leave or enter, instead of
 /// `O(tokens)` every round.
 #[derive(Debug, Default)]
@@ -1168,9 +1166,7 @@ impl FusedDisperse {
     /// bucket membership by staging each destination's arrivals and
     /// folding them in with one backward in-place merge per touched
     /// bucket. Work is proportional to the moved tokens and the
-    /// buckets they leave or enter, never the whole flock — this is
-    /// the fused path's round cost, replacing the solo path's full
-    /// regroup-and-rescan.
+    /// buckets they leave or enter, never the whole flock.
     fn apply_moves(&mut self, t: usize, part_of: &[u16]) {
         for &key in &self.touched_buckets {
             let cnt = self.moved_prefix[key as usize] as usize;
@@ -1276,39 +1272,14 @@ pub(crate) fn run_fused<'a>(
     scratch: &mut Scratch,
     jobs: &[JobRef<'a>],
 ) -> Vec<JobOutcome> {
-    // Each job charges its own ledger: the demultiplexing targets
-    // every shared-scan charge site writes through.
-    run_fused_with(r, scratch, jobs, vec![RoundLedger::new(); jobs.len()])
-}
-
-/// Runs one job as a singleton group, charging into `ledger` — the solo
-/// [`Router::route`]/[`Router::sort`] path. Because groups of every
-/// width run the same pipeline, solo outcomes are byte-identical to the
-/// same job inside any fused batch.
-pub(crate) fn run_single(
-    r: &Router,
-    scratch: &mut Scratch,
-    job: JobRef<'_>,
-    ledger: RoundLedger,
-) -> JobOutcome {
-    run_fused_with(r, scratch, &[job], vec![ledger]).pop().expect("one job, one outcome")
-}
-
-/// [`run_fused`] core with caller-supplied per-job ledgers.
-fn run_fused_with<'a>(
-    r: &Router,
-    scratch: &mut Scratch,
-    jobs: &[JobRef<'a>],
-    ledgers: Vec<RoundLedger>,
-) -> Vec<JobOutcome> {
-    debug_assert_eq!(jobs.len(), ledgers.len());
     scratch.reset_for(r);
     let root = r.hier.root();
-    let mut ledgers = ledgers.into_iter();
     let mut slots: Vec<FusedJob<'_, 'a>> = jobs
         .iter()
         .map(|&job| {
-            let mut exec = Exec::new(r, ledgers.next().expect("one ledger per job"));
+            // Each job charges its own ledger: the demultiplexing
+            // target every shared-scan charge site writes through.
+            let mut exec = Exec::new(r);
             let (toks, kind) = match job {
                 JobRef::Route(inst) => {
                     let toks = exec.route_prologue(scratch, inst).unwrap_or_default();
@@ -1508,7 +1479,7 @@ fn task3_fused(
         if !entries.iter().any(|&(l, _)| l == st.l) {
             let entry = match scratch.dummies.take(node, st.l) {
                 Some(entry) => entry,
-                None => Exec::new(r, RoundLedger::new()).build_dummy_entry(scratch, node, st.l),
+                None => Exec::new(r).build_dummy_entry(scratch, node, st.l),
             };
             entries.push((st.l, entry));
         }

@@ -688,21 +688,6 @@ impl Router {
         }
     }
 
-    /// Executes one *validated* job: the single entry point behind
-    /// [`Router::route`], [`Router::sort`], and the batch engine. The
-    /// caller provides the (possibly pooled) scratch and the (possibly
-    /// per-job) ledger the query charges into. Runs as a singleton
-    /// group of the fused pipeline, so the outcome is byte-identical to
-    /// the same job inside any fused batch.
-    pub(crate) fn execute(
-        &self,
-        job: JobRef<'_>,
-        scratch: &mut Scratch,
-        ledger: RoundLedger,
-    ) -> JobOutcome {
-        crate::exec::run_single(self, scratch, job, ledger)
-    }
-
     /// Answers a Task 1 routing query (Definition 4.1).
     ///
     /// Each call builds a private scratch; batch workloads should go
@@ -729,10 +714,10 @@ impl Router {
     pub fn route(&self, inst: &RoutingInstance) -> Result<RoutingOutcome, InstanceError> {
         let job = JobRef::Route(inst);
         self.validate(job)?;
-        match self.execute(job, &mut Scratch::new(self), RoundLedger::new()) {
-            JobOutcome::Route(out) => Ok(out),
-            JobOutcome::Sort(_) => unreachable!("route job produced a sort outcome"),
-        }
+        // A singleton group of the fused pipeline, so the outcome is
+        // byte-identical to the same job inside any engine batch.
+        let out = crate::exec::run_fused(self, &mut Scratch::new(self), &[job]).pop();
+        Ok(out.and_then(JobOutcome::into_route).expect("route job yields route outcome"))
     }
 
     /// Answers an expander-sorting query (Theorem 5.6 /
@@ -749,10 +734,8 @@ impl Router {
     pub fn sort(&self, inst: &SortInstance) -> Result<SortOutcome, InstanceError> {
         let job = JobRef::Sort(inst);
         self.validate(job)?;
-        match self.execute(job, &mut Scratch::new(self), RoundLedger::new()) {
-            JobOutcome::Sort(out) => Ok(out),
-            JobOutcome::Route(_) => unreachable!("sort job produced a route outcome"),
-        }
+        let out = crate::exec::run_fused(self, &mut Scratch::new(self), &[job]).pop();
+        Ok(out.and_then(JobOutcome::into_sort).expect("sort job yields sort outcome"))
     }
 }
 
@@ -893,18 +876,16 @@ mod tests {
         let mut r = Router::preprocess(&g, RouterConfig::for_epsilon(0.4)).expect("router");
         let inst = RoutingInstance::permutation(256, 7);
         let mut scratch = Scratch::new(&r);
-        match r.execute(JobRef::Route(&inst), &mut scratch, RoundLedger::new()) {
-            JobOutcome::Route(out) => assert!(out.all_delivered()),
-            JobOutcome::Sort(_) => unreachable!(),
-        }
+        let route = |r: &Router, scratch: &mut Scratch| {
+            let out = crate::exec::run_fused(r, scratch, &[JobRef::Route(&inst)]).pop();
+            out.and_then(JobOutcome::into_route).expect("route outcome")
+        };
+        assert!(route(&r, &mut scratch).all_delivered());
         // Repair in place: the router keeps its address, so only the
         // epoch half of the scratch tag can catch the change.
         let (u, v) = g.edges().next().expect("edge");
         r.repair(&[GraphEdit::RemoveEdge(u, v)]).expect("repair");
-        let pooled = match r.execute(JobRef::Route(&inst), &mut scratch, RoundLedger::new()) {
-            JobOutcome::Route(out) => out,
-            JobOutcome::Sort(_) => unreachable!(),
-        };
+        let pooled = route(&r, &mut scratch);
         assert!(pooled.all_delivered());
         // A fresh scratch is the uncached reference: pooled dummy
         // dispersals must not leak across the repair.

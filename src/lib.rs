@@ -13,7 +13,7 @@
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
 //! | [`graphs`] | `expander-graphs` | graph types, expander generators, conductance/spectral metrics, paths, embeddings, the expander split `G⋄` |
-//! | [`congest`] | `congest-sim` | CONGEST message-passing simulator, vertex programs, Fact 2.2 path scheduling, the round ledger |
+//! | [`congest`] | `congest-sim` | The round ledger, the Fact 2.2 cost model and path-schedule executor, the deterministic parallel runner |
 //! | [`decomp`] | `expander-decomp` | cut-matching game, hierarchical decomposition (Property 3.1), shufflers (Definition 5.4) |
 //! | [`core`] | `expander-core` | the router (Theorem 1.1), Tasks 1/2/3, expander sorting, routing⇄sorting equivalence (Appendix F), general-degree reduction (Appendix E), baselines |
 //! | [`apps`] | `expander-apps` | MST (Corollary 1.3), k-clique enumeration (Corollary 1.4), data summarization |

@@ -118,7 +118,7 @@ fn fused_rounds_allocate_nothing_in_steady_state() {
     // loads, congestion accounting) must allocate nothing per round —
     // everything lives in the pooled scratch and the per-job fused
     // states. What remains is per-job prologue/epilogue output
-    // (positions, ledger, stats: ~18 allocations per job today),
+    // (positions, ledger, stats: ~10 allocations per job today),
     // independent of the round count. The budget is a per-job
     // constant chosen below one allocation per (round × job): a
     // single per-round buffer creeping back into the loop adds
