@@ -30,9 +30,8 @@ pub struct CliqueOutcome {
 
 /// Enumerates all `k`-cliques of the engine's graph (`k ∈ {3, 4, 5}`).
 ///
-/// Takes the batch engine rather than a bare router so repeated
-/// listings (several `k` over one preprocessed graph) share its pooled
-/// query scratch.
+/// The routing query runs on the engine's router, whose pooled scratch
+/// stays warm across listings (several `k` over one graph).
 ///
 /// # Errors
 ///
@@ -80,7 +79,7 @@ pub fn enumerate_cliques(
     // One routing query ships all edge copies.
     let inst = RoutingInstance::from_triples(&triples);
     let max_load = inst.load(n) as u64;
-    let out = engine.route_one(&inst)?;
+    let out = engine.router().route(&inst)?;
     debug_assert!(out.all_delivered());
 
     // Local listing at each responsible vertex.

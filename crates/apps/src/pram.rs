@@ -28,11 +28,9 @@ pub enum PramOp {
 
 /// A distributed PRAM over an expander router.
 ///
-/// The machine owns a [`QueryEngine`] over the router: every step's
-/// routing/sorting instances run through the engine's pooled scratch
-/// (the write phase's conflict sort and delivery route ship as one
-/// batch), so long PRAM programs amortize per-query setup across all
-/// their steps.
+/// The machine owns a [`QueryEngine`] over the router so the write
+/// phase's conflict sort and delivery route ship as one batch; every
+/// step runs on the router's warm pooled scratches.
 #[derive(Debug)]
 pub struct PramMachine<'r> {
     engine: QueryEngine<'r>,
@@ -104,7 +102,7 @@ impl<'r> PramMachine<'r> {
                 request.push((ps[0] as u32, self.owner(cell), cell));
             }
             let req_inst = RoutingInstance::from_triples(&request);
-            let out = self.engine.route_one(&req_inst)?;
+            let out = self.engine.router().route(&req_inst)?;
             self.rounds += 2 * out.rounds(); // request + reply
 
             // Fan the fetched value out to all duplicate readers:

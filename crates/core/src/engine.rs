@@ -10,17 +10,16 @@
 //! [`ThreadBudget`]/[`run_tasks`] worker pool the staged preprocessing
 //! build uses, with three cross-query savings:
 //!
-//! * **Pooled scratch** — per-query mutable state (the dense load
-//!   counters, counting-sort buckets, and `FlatMoveCost` accumulators
-//!   of `exec::Scratch`) is checked out of a `ScratchPool` and
-//!   returned after each group, so a batch of `B` queries allocates
-//!   `O(threads)` scratches instead of `O(B)`.
-//! * **Dummy-dispersal amortization** — each scratch carries the
-//!   per-worker dummy-dispersal cache: the Task 3 dummy flock (2L
-//!   tokens per vertex, §6.3) is a pure function of `(node, L)`, so
-//!   its dispersal, final grouping, and round charges are computed
-//!   once per key and replayed for every subsequent query — and a
-//!   fused group consumes one shared entry for all its jobs at once.
+//! * **Pooled scratch** — per-query mutable state (`exec::Scratch`) is
+//!   checked out of the [`Router`]'s scratch pool per group, so a batch
+//!   of `B` queries allocates `O(threads)` scratches instead of `O(B)`,
+//!   warm across engines, solo queries and the service.
+//! * **Dummy-dispersal amortization** — each scratch carries a
+//!   dummy-dispersal cache: the Task 3 dummy flock (2L tokens per
+//!   vertex, §6.3) is a pure function of `(node, L)`, so its
+//!   dispersal, final grouping, and round charges are computed once
+//!   per key and replayed for every subsequent query — and a fused
+//!   group consumes one shared entry for all its jobs at once.
 //! * **Cross-job dispersal fusion** — the jobs of a group walk the
 //!   Task 2 tree in lockstep and each node's Task 3 dispersal runs as
 //!   one shared round plan over all of their flocks: per-job grouping
@@ -57,14 +56,13 @@
 //! assert_eq!(stats.jobs, 8);
 //! ```
 
-use crate::exec::Scratch;
+use crate::exec::DEFAULT_SCRATCH_CAP_BYTES;
 use crate::router::Router;
 use crate::token::{
     InstanceError, QueryStats, RoutingInstance, RoutingOutcome, SortInstance, SortOutcome,
 };
 use congest_sim::parallel::{build_threads, run_tasks, ThreadBudget};
 use congest_sim::RoundLedger;
-use std::sync::Mutex;
 
 /// One owned job of a batch.
 #[derive(Debug, Clone)]
@@ -193,43 +191,12 @@ pub struct BatchOutcome {
     pub stats: BatchStats,
 }
 
-/// A checkout/return pool of query scratches.
-///
-/// Workers check a scratch out per job and return it afterwards, so a
-/// batch of `B` jobs materializes at most `max(live workers)` scratches
-/// — `O(threads)`, not `O(B)` — and each scratch's dummy-dispersal
-/// cache warms across all the jobs that pass through it.
-#[derive(Debug, Default)]
-pub(crate) struct ScratchPool {
-    slots: Mutex<Vec<Scratch>>,
-}
-
-impl ScratchPool {
-    /// Checks a scratch out (a fresh one if the pool is empty). The
-    /// single reset point is `exec::run_fused`, which re-targets the
-    /// scratch at its router before every group.
-    fn checkout(&self, r: &Router) -> Scratch {
-        self.slots.lock().expect("unpoisoned").pop().unwrap_or_else(|| Scratch::new(r))
-    }
-
-    /// Returns a scratch to the pool, applying the high-water trim
-    /// when its retained footprint exceeds `cap_bytes` (see
-    /// [`QueryEngine::with_scratch_cap`]).
-    fn restore(&self, mut scratch: Scratch, r: &Router, cap_bytes: usize) {
-        if scratch.footprint_bytes() > cap_bytes {
-            scratch.trim(r);
-        }
-        self.slots.lock().expect("unpoisoned").push(scratch);
-    }
-}
-
 /// The batched multi-query engine over one preprocessed [`Router`].
 ///
-/// See the [module docs](self) for the execution model. Engines are
-/// cheap to construct but long-lived ones are faster: the scratch pool
-/// and dummy caches warm across every batch (and every
-/// [`route_one`](QueryEngine::route_one)/
-/// [`sort_one`](QueryEngine::sort_one) call) served by the same engine.
+/// See the [module docs](self) for the execution model. An engine
+/// holds only the grouping policy and the worker count, so it is cheap
+/// to construct: the scratch pool and its dummy and escort caches live
+/// in the router and stay warm across engines, batches and solo calls.
 ///
 /// # Example
 ///
@@ -259,14 +226,8 @@ pub struct QueryEngine<'r> {
     router: &'r Router,
     threads: Option<usize>,
     fusion: Option<usize>,
-    pool: ScratchPool,
     scratch_cap: usize,
 }
-
-/// Default per-scratch retained-bytes cap (64 MiB): far above any
-/// steady-state footprint the router sizes we target produce, so
-/// trimming only triggers after a genuinely outsized workload.
-const DEFAULT_SCRATCH_CAP_BYTES: usize = 64 << 20;
 
 /// Largest fusion-group size the automatic policy schedules: per-job
 /// fused state is `O(n)` memory, so auto-width groups stay bounded
@@ -280,23 +241,18 @@ impl<'r> QueryEngine<'r> {
     /// (`EXPANDER_BUILD_THREADS`, then `available_parallelism`) and the
     /// automatic fusion-width policy.
     pub fn new(router: &'r Router) -> Self {
-        QueryEngine {
-            router,
-            threads: None,
-            fusion: None,
-            pool: ScratchPool::default(),
-            scratch_cap: DEFAULT_SCRATCH_CAP_BYTES,
-        }
+        QueryEngine { router, threads: None, fusion: None, scratch_cap: DEFAULT_SCRATCH_CAP_BYTES }
     }
 
     /// Caps the heap bytes a pooled scratch may retain between batches
     /// (dense buffers plus the dummy-dispersal and fallback-tree
-    /// caches). A scratch returning to the pool above the cap is
-    /// trimmed back to the router's dimensions — its caches rebuild
-    /// lazily on the next batch — so a long-lived engine's footprint
-    /// tracks its *current* workload instead of pinning the peak one
-    /// forever. Defaults to 64 MiB per scratch; outputs are
-    /// byte-identical for every setting.
+    /// caches). A scratch this engine returns to the router's pool
+    /// above the cap is trimmed back to the router's dimensions — its
+    /// caches rebuild lazily on the next checkout — so a long-lived
+    /// router's footprint tracks its *current* workload instead of
+    /// pinning the peak one forever. Defaults to 64 MiB, as for solo
+    /// [`Router::route`] calls; they share the pool, so a scratch keeps
+    /// its last returner's cap. Outputs are identical at every cap.
     #[must_use]
     pub fn with_scratch_cap(mut self, bytes: usize) -> Self {
         self.scratch_cap = bytes;
@@ -381,35 +337,26 @@ impl<'r> QueryEngine<'r> {
         Ok(BatchOutcome { outcomes, stats })
     }
 
-    /// Executes one *pre-validated* fusion group against a pooled
-    /// scratch: the single checkout → execute → restore protocol behind
-    /// every engine execution path — batch groups, `route_one`/
-    /// `sort_one`, and each closed group of the streaming
+    /// Executes one *pre-validated* fusion group on a scratch from the
+    /// router's pool, trimmed at this engine's cap on return — behind
+    /// batch groups and each closed group of the streaming
     /// [`RoutingService`](crate::service::RoutingService). Each job
     /// charges a private ledger; outcomes come back in group order and
     /// are byte-identical to the same jobs anywhere else (solo calls,
     /// any batch, any width).
     pub(crate) fn run_group_validated(&self, jobs: &[JobRef<'_>]) -> Vec<JobOutcome> {
-        let mut scratch = self.pool.checkout(self.router);
-        let outs = crate::exec::run_fused(self.router, &mut scratch, jobs);
-        self.pool.restore(scratch, self.router, self.scratch_cap);
-        outs
+        self.router.pool.run(self.router, jobs, self.scratch_cap)
     }
 
-    /// Applies the scratch-cap trim (see
-    /// [`with_scratch_cap`](Self::with_scratch_cap)) to every pooled
-    /// scratch *now*, instead of waiting for the next checkout/restore
-    /// cycle. Batch runs trim on every restore, so closed batches never
-    /// need this; a long-lived service calls it during quiescent
-    /// periods so an idle engine's retained footprint falls back under
-    /// the cap without waiting for traffic.
+    /// Applies this engine's scratch-cap trim (see
+    /// [`with_scratch_cap`](Self::with_scratch_cap)) to every scratch
+    /// in the router's pool *now*, instead of waiting for the next
+    /// checkout/restore cycle. Batch runs trim on every restore, so
+    /// closed batches never need this; a long-lived service calls it
+    /// during quiescent periods so an idle router's retained footprint
+    /// falls back under the cap without waiting for traffic.
     pub fn trim_scratches(&self) {
-        let mut slots = self.pool.slots.lock().expect("unpoisoned");
-        for scratch in slots.iter_mut() {
-            if scratch.footprint_bytes() > self.scratch_cap {
-                scratch.trim(self.router);
-            }
-        }
+        self.router.pool.trim(self.router, self.scratch_cap);
     }
 
     /// Routes a batch of Task 1 instances, returning the per-instance
@@ -450,34 +397,6 @@ impl<'r> QueryEngine<'r> {
             .map(|o| o.into_sort().expect("sort job yields sort outcome"))
             .collect();
         Ok((outs, batch.stats))
-    }
-
-    /// Routes a single instance through the pooled scratch — for
-    /// callers that interleave queries with local work but still want
-    /// the cross-query amortization.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a token references a vertex outside the
-    /// graph.
-    pub fn route_one(&self, inst: &RoutingInstance) -> Result<RoutingOutcome, InstanceError> {
-        let job = JobRef::Route(inst);
-        self.router.validate(job)?;
-        let out = self.run_group_validated(&[job]).pop();
-        Ok(out.and_then(JobOutcome::into_route).expect("route job yields route outcome"))
-    }
-
-    /// Sorts a single instance through the pooled scratch.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a token references a vertex outside the
-    /// graph.
-    pub fn sort_one(&self, inst: &SortInstance) -> Result<SortOutcome, InstanceError> {
-        let job = JobRef::Sort(inst);
-        self.router.validate(job)?;
-        let out = self.run_group_validated(&[job]).pop();
-        Ok(out.and_then(JobOutcome::into_sort).expect("sort job yields sort outcome"))
     }
 }
 
@@ -525,26 +444,25 @@ mod tests {
         let engine = QueryEngine::new(&r).with_threads(Some(1));
         let (base, _) = engine.route_batch(&insts).expect("valid");
         engine.route_batch(&insts).expect("valid");
-        let kept = engine.pool.slots.lock().expect("unpoisoned");
+        let kept = r.pool.footprints();
         assert_eq!(kept.len(), 1, "single worker returns one pooled scratch");
-        let warm_bytes = kept[0].footprint_bytes();
+        let warm_bytes = kept[0];
         assert!(warm_bytes > 0);
-        drop(kept);
 
-        // Cap of zero: every restore exceeds it, so the pooled scratch
-        // comes back trimmed to the router's dimensions — strictly
-        // smaller than the warm footprint — and outputs stay
-        // byte-identical (the caches are accelerators only).
-        let capped = QueryEngine::new(&r).with_threads(Some(1)).with_scratch_cap(0);
+        // Cap of zero, on a clone (its own, empty pool): every restore
+        // exceeds it, so the pooled scratch comes back trimmed to the
+        // router's dimensions — strictly smaller than the warm
+        // footprint — and outputs stay byte-identical (the caches are
+        // accelerators only).
+        let r2 = r.clone();
+        let capped = QueryEngine::new(&r2).with_threads(Some(1)).with_scratch_cap(0);
         let (outs, _) = capped.route_batch(&insts).expect("valid");
         capped.route_batch(&insts).expect("valid");
-        let slots = capped.pool.slots.lock().expect("unpoisoned");
-        let trimmed_bytes = slots[0].footprint_bytes();
+        let trimmed_bytes = r2.pool.footprints()[0];
         assert!(
             trimmed_bytes < warm_bytes,
             "trim should shed cache bytes: {trimmed_bytes} vs warm {warm_bytes}"
         );
-        drop(slots);
         for (a, b) in base.iter().zip(&outs) {
             assert_eq!(a.positions, b.positions);
             assert_eq!(a.ledger, b.ledger);
@@ -645,21 +563,5 @@ mod tests {
         assert!(batch.outcomes.is_empty());
         assert_eq!(batch.stats.jobs, 0);
         assert_eq!(batch.stats.merged.total(), 0);
-    }
-
-    #[test]
-    fn single_query_helpers_match_router_calls() {
-        let r = router(256, 5);
-        let engine = QueryEngine::new(&r);
-        let inst = RoutingInstance::permutation(256, 6);
-        let a = engine.route_one(&inst).expect("valid");
-        let b = r.route(&inst).expect("valid");
-        assert_eq!(a.positions, b.positions);
-        assert_eq!(a.ledger, b.ledger);
-        let sinst = SortInstance::random(256, 2, 7);
-        let sa = engine.sort_one(&sinst).expect("valid");
-        let sb = r.sort(&sinst).expect("valid");
-        assert_eq!(sa.positions, sb.positions);
-        assert_eq!(sa.ledger, sb.ledger);
     }
 }

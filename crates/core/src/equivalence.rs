@@ -60,12 +60,10 @@ pub fn sort_via_routing(r: &Router, inst: &SortInstance) -> Result<SortViaRoutin
     }
 
     // A layer's gather/scatter instances depend only on the network's
-    // static comparator structure, never on token values, so each
-    // layer's pair ships as one engine batch (one long-lived engine
-    // pools scratches and dummy caches across all the layers) while
-    // only one layer's instances are live at a time; the local compare
-    // replay stays sequential.
-    let engine = QueryEngine::new(r);
+    // static comparator structure, never on token values. Each runs as
+    // a solo route on the router's pooled scratch, whose dummy caches
+    // stay warm across all the layers, while only one layer's instances
+    // are live at a time; the local compare replay stays sequential.
     let mut ledger = RoundLedger::new();
     let mut route_calls = 0u64;
     for layer in odd_even_layers(n) {
@@ -78,7 +76,7 @@ pub fn sort_via_routing(r: &Router, inst: &SortInstance) -> Result<SortViaRoutin
                 }
             }
             if !triples.is_empty() {
-                let out = engine.route_one(&RoutingInstance::from_triples(&triples))?;
+                let out = r.route(&RoutingInstance::from_triples(&triples))?;
                 ledger.charge(label, out.rounds());
                 route_calls += 1;
             }

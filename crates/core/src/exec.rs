@@ -49,6 +49,8 @@ use congest_sim::RoundLedger;
 use expander_decomp::NodeId;
 use expander_graphs::{FlatPaths, Graph, Path};
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::Mutex;
 
 /// Measured movement cost accumulator: `max edge load × max hops`.
 ///
@@ -378,40 +380,46 @@ impl DummyCache {
     }
 }
 
-/// Reusable query buffers, shared across every `disperse`/`merge`/
-/// `task2` round of a query and — through the engine's scratch pool —
-/// across the queries of a batch: dense per-vertex load counters,
-/// counting-sort group buckets, per-part load vectors, flat
-/// movement-cost accumulators, the flock position arrays, and the
-/// cross-query dummy-dispersal cache.
-/// Lazily grown per-target BFS parent trees for the merge fallback
-/// escorts, plus the walk buffer that charges each leg.
+/// Largest vertex degree the escort trees support: they store a
+/// vertex's next hop as a `u16` adjacency slot (`1..=degree`), and
+/// [`Router::preprocess`] rejects graphs above it.
+pub(crate) const MAX_ESCORT_DEGREE: usize = u16::MAX as usize;
+
+/// Per-target shortest-path trees for the merge fallback escorts, plus
+/// the walk buffer that charges each leg.
 ///
 /// The fallback legs send every dummy-starved real token to a
 /// round-robin vertex of its target part, so a dense batch issues
 /// thousands of shortest-path queries into a handful of destinations.
-/// A shared parent tree per destination amortizes them all into
-/// parent-chain walks — the per-token bidirectional BFS this replaces
-/// dominated fused merge time.
+/// A shared tree per destination amortizes them all into hop walks —
+/// the per-token bidirectional BFS this replaces dominated fused merge
+/// time.
 ///
-/// Each tree is grown *incrementally*: the BFS from its target
-/// suspends as soon as the requesting source is discovered and resumes
-/// from its saved frontier for deeper sources later (a BFS discovers
-/// vertices in distance order, so a suspended tree is already correct
-/// for everything it has reached). A cold solo query therefore pays
-/// only for the levels its own escorts need — near the old per-pair
-/// cost — while a warm batch keeps full-tree reuse.
+/// A tree is the BFS tree of `Graph::bfs_parent_tree_into` (adjacency
+/// order), stored as one `u16` per vertex: 0 = unreached, `k` = the
+/// next hop is `neighbors(v)[k - 1]`; the target itself is recognised
+/// by identity. At two bytes per vertex and target, a router's pooled
+/// scratch keeps every tree it has built warm across queries.
+///
+/// A target's first use stops the BFS at its source (a cold query pays
+/// only for what its escorts use); a later miss rebuilds the tree whole
+/// for good. A BFS discovers in a fixed order, so every walk is the
+/// full tree's.
 #[derive(Debug, Default)]
 struct EscortCache {
-    /// `parent[target][v]` = next hop from `v` toward `target`
-    /// (`u32::MAX` while undiscovered; an empty inner vec = unstarted).
-    parent: Vec<Vec<u32>>,
-    /// Dense edge ids of those hops, aligned with `parent`.
-    edge: Vec<Vec<u32>>,
-    /// Per-target BFS visit order; doubles as the resumable queue
-    /// (`frontier[target]` indexes the next vertex to expand).
-    order: Vec<Vec<u32>>,
-    frontier: Vec<u32>,
+    /// `hop[target][v]` = 1 + the adjacency slot of `v`'s next hop
+    /// toward `target` (0 while unreached; an empty inner vec = not
+    /// built yet).
+    hop: Vec<Vec<u16>>,
+    /// Per target: whether its BFS ran to completion.
+    complete: Vec<bool>,
+    /// Per edge id: 1 + a slot holding it at its lower and at its
+    /// higher endpoint, so the BFS sets a hop without scanning the
+    /// reached vertex's adjacency (a scan made cold queries at
+    /// n = 4096 about 1.7× slower). Built on first use.
+    ends: Vec<[u16; 2]>,
+    /// BFS queue, shared by every target's build.
+    queue: Vec<u32>,
     /// Edge ids of the escort walk being charged.
     walk: Vec<u32>,
 }
@@ -419,116 +427,101 @@ struct EscortCache {
 impl EscortCache {
     /// Drops every cached tree (the underlying graph changed).
     fn clear(&mut self) {
-        for t in &mut self.parent {
+        for t in &mut self.hop {
             t.clear();
         }
-        for t in &mut self.edge {
-            t.clear();
-        }
-        for t in &mut self.order {
-            t.clear();
-        }
-        self.frontier.fill(0);
-    }
-
-    /// Releases all tree storage and truncates the per-target slots to
-    /// `n` (the scratch pool's high-water trim; trees rebuild lazily).
-    fn trim(&mut self, n: usize) {
-        self.parent.truncate(n);
-        self.parent.shrink_to_fit();
-        self.edge.truncate(n);
-        self.edge.shrink_to_fit();
-        self.order.truncate(n);
-        self.order.shrink_to_fit();
-        for t in self.parent.iter_mut().chain(&mut self.edge).chain(&mut self.order) {
-            *t = Vec::new();
-        }
-        self.frontier.truncate(n);
-        self.frontier.shrink_to_fit();
-        self.frontier.fill(0);
-        self.walk = Vec::new();
+        self.complete.fill(false);
+        self.ends.clear();
     }
 
     /// Estimated heap bytes retained by the cache.
     fn approx_bytes(&self) -> usize {
-        let slot = std::mem::size_of::<Vec<u32>>();
-        let trees: usize = self
-            .parent
-            .iter()
-            .chain(&self.edge)
-            .chain(&self.order)
-            .map(|t| t.capacity() * 4)
-            .sum::<usize>();
+        let trees: usize = self.hop.iter().map(|t| t.capacity() * 2).sum();
         trees
-            + (self.parent.capacity() + self.edge.capacity() + self.order.capacity()) * slot
-            + (self.frontier.capacity() + self.walk.capacity()) * 4
+            + self.hop.capacity() * std::mem::size_of::<Vec<u16>>()
+            + self.complete.capacity()
+            + (self.ends.capacity() + self.queue.capacity() + self.walk.capacity()) * 4
     }
 
     /// Grows the per-target slots to cover `n` vertices.
     fn ensure_targets(&mut self, n: usize) {
-        if self.parent.len() < n {
-            self.parent.resize_with(n, Vec::new);
-            self.edge.resize_with(n, Vec::new);
-            self.order.resize_with(n, Vec::new);
-            self.frontier.resize(n, 0);
+        if self.hop.len() < n {
+            self.hop.resize_with(n, Vec::new);
+            self.complete.resize(n, false);
         }
     }
 
-    /// Resumes the BFS rooted at `target` until `src` is discovered or
-    /// the component is exhausted. Expansion order matches
-    /// `Graph::bfs_parent_tree_into` (adjacency order), so the grown
-    /// tree is a prefix of the full one — deterministic regardless of
-    /// which sources forced the growth.
-    fn grow_until(&mut self, g: &Graph, src: u32, target: u32) {
-        let t = target as usize;
-        if self.parent[t].is_empty() {
-            self.parent[t].resize(g.n(), u32::MAX);
-            self.edge[t].resize(g.n(), u32::MAX);
-            self.parent[t][t] = target;
-            self.order[t].clear();
-            self.order[t].push(target);
-            self.frontier[t] = 0;
-        }
-        let parent = &mut self.parent[t];
-        let edge = &mut self.edge[t];
-        let order = &mut self.order[t];
-        let mut head = self.frontier[t] as usize;
-        while parent[src as usize] == u32::MAX && head < order.len() {
-            let u = order[head];
-            head += 1;
-            for (&v, &eid) in g.neighbors(u).iter().zip(g.neighbor_edge_ids(u)) {
-                if parent[v as usize] == u32::MAX {
-                    parent[v as usize] = u;
-                    edge[v as usize] = eid;
-                    order.push(v);
+    /// Builds the tree rooted at `target` afresh: a BFS expanding
+    /// neighbours in adjacency order, each vertex keeping the first
+    /// edge that reached it, stopped early once `until` is reached
+    /// (`None` runs it to completion). Parallel copies share an edge id
+    /// and a neighbour, so any slot of the reaching edge gives the same
+    /// walk.
+    fn build(&mut self, g: &Graph, target: u32, until: Option<u32>) {
+        if self.ends.is_empty() {
+            debug_assert!(g.max_degree() <= MAX_ESCORT_DEGREE, "degree exceeds the u16 slot");
+            self.ends.resize(g.edge_id_count(), [0; 2]);
+            for u in 0..g.n() as u32 {
+                let adj = g.neighbors(u).iter().zip(g.neighbor_edge_ids(u));
+                for (k, (&v, &e)) in adj.enumerate() {
+                    self.ends[e as usize][usize::from(u > v)] = k as u16 + 1;
                 }
             }
         }
-        self.frontier[t] = head as u32;
+        let hop = &mut self.hop[target as usize];
+        hop.clear();
+        hop.resize(g.n(), 0);
+        self.queue.clear();
+        self.queue.push(target);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            if until.is_some_and(|src| hop[src as usize] != 0) {
+                break;
+            }
+            head += 1;
+            for (&v, &e) in g.neighbors(u).iter().zip(g.neighbor_edge_ids(u)) {
+                if v != target && hop[v as usize] == 0 {
+                    hop[v as usize] = self.ends[e as usize][usize::from(v > u)];
+                    self.queue.push(v);
+                }
+            }
+        }
+        self.complete[target as usize] = head == self.queue.len();
     }
 
-    /// Charges one fallback leg `src → target` into `mc` along the
-    /// cached shortest-path tree, growing the target's tree as far as
-    /// needed on first use. Unreachable pairs charge nothing — the
-    /// escort teleports either way (the caller rewrites `pos`), exactly
-    /// as the per-pair BFS behaved.
-    fn charge(&mut self, g: &Graph, mc: &mut FlatMoveCost, src: u32, target: u32) {
-        self.grow_until(g, src, target);
-        let parent = &self.parent[target as usize];
-        let hop = &self.edge[target as usize];
-        if parent[src as usize] == u32::MAX {
-            return;
+    /// Fills `walk` with the edge ids of the tree path `src → target`,
+    /// building the target's tree on demand. Returns `false` (and an
+    /// empty walk) when `src` cannot reach `target`.
+    fn walk_to(&mut self, g: &Graph, src: u32, target: u32) -> bool {
+        let t = target as usize;
+        let reached = |hop: &[u16]| src == target || hop.get(src as usize).is_some_and(|&k| k != 0);
+        if !reached(&self.hop[t]) && !self.complete[t] {
+            // A first use stops at `src`; a miss on a partial tree
+            // completes it.
+            let until = self.hop[t].is_empty().then_some(src);
+            self.build(g, target, until);
         }
+        let hop = &self.hop[t];
         self.walk.clear();
+        if !reached(hop) {
+            return false;
+        }
         let mut cur = src;
         while cur != target {
-            self.walk.push(hop[cur as usize]);
-            cur = parent[cur as usize];
+            let k = usize::from(hop[cur as usize]) - 1;
+            self.walk.push(g.neighbor_edge_ids(cur)[k]);
+            cur = g.neighbors(cur)[k];
         }
-        mc.add_edge_ids(&self.walk, 1);
+        true
     }
 }
 
+/// Reusable query buffers, shared across every `disperse`/`merge`/
+/// `task2` round of a query and — through the router's scratch pool —
+/// across queries: dense per-vertex load counters, counting-sort group
+/// buckets, per-part load vectors, flat movement-cost accumulators, the
+/// flock position arrays, the escort trees and the cross-query
+/// dummy-dispersal cache.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     /// Dense per-vertex token counts plus the touched list that resets
@@ -564,30 +557,22 @@ pub(crate) struct Scratch {
     /// Dedicated incremental state for dummy-flock builds (the per-job
     /// states are checked out by the caller while a build runs).
     dummy_state: FusedDisperse,
-    /// Identity of the router the buffers (and cache) belong to: its
-    /// address *and* its graph's mutation epoch. [`Router::repair`]
-    /// rebuilds a router in place, so the address alone would let a
-    /// pooled scratch serve stale cached dispersals across a repair.
-    router_tag: (usize, u64),
+    /// Epoch of the graph the caches were built on. Only the router
+    /// whose pool holds a scratch uses it, so the epoch alone catches a
+    /// scratch carried across a repair (and a moved router stays warm).
+    graph_epoch: u64,
 }
 
 impl Scratch {
-    pub(crate) fn new(r: &Router) -> Scratch {
-        let mut s = Scratch::default();
-        s.reset_for(r);
-        s
-    }
-
     /// Re-targets the scratch at `r` without reallocating: buffers grow
     /// to the router's dimensions only when too small (pooled reuse
     /// across heterogeneous instances is allocation-free once warm),
-    /// and the dummy cache survives unless the router changed.
+    /// and the caches survive unless the graph changed.
     pub(crate) fn reset_for(&mut self, r: &Router) {
-        let tag = (std::ptr::from_ref(r) as usize, r.graph.epoch());
-        if self.router_tag != tag {
+        if self.graph_epoch != r.graph.epoch() {
             self.dummies.clear();
             self.escort.clear();
-            self.router_tag = tag;
+            self.graph_epoch = r.graph.epoch();
         }
         self.escort.ensure_targets(r.graph.n());
         if self.vertex_load.len() < r.graph.n() {
@@ -655,7 +640,7 @@ impl Scratch {
     pub(crate) fn trim(&mut self, r: &Router) {
         let n = r.graph.n();
         self.dummies.clear();
-        self.escort.trim(n);
+        self.escort = EscortCache::default();
         self.fused = Vec::new();
         self.dummy_state = FusedDisperse::default();
         self.groups = DenseGroups::default();
@@ -696,6 +681,70 @@ impl Scratch {
             self.vertex_load[v as usize] = 0;
         }
         self.vertex_touched.clear();
+    }
+}
+
+/// Default per-scratch retained-bytes cap (64 MiB), far above any
+/// steady-state footprint, used by solo queries and by engines unless
+/// `QueryEngine::with_scratch_cap` overrides it.
+pub(crate) const DEFAULT_SCRATCH_CAP_BYTES: usize = 64 << 20;
+
+/// The checkout/return pool of query scratches a [`Router`] owns.
+///
+/// Solo queries, engine batch groups and the service check a scratch
+/// out per group and return it, so concurrent callers materialize at
+/// most `max(live callers)` scratches, each warm across its queries.
+/// An accelerator only: a clone starts empty, every pool compares equal
+/// (the router's `PartialEq` compares preprocessed structures alone),
+/// `Debug` shows no contents, and [`Router::repair`] drops it.
+#[derive(Default)]
+pub(crate) struct ScratchPool {
+    slots: Mutex<Vec<Scratch>>,
+}
+
+impl ScratchPool {
+    /// Executes one pre-validated fusion group of `r` (whose pool this
+    /// is) on a checked-out scratch — a fresh one if the pool is
+    /// empty — and returns the scratch, trimmed first if its retained
+    /// footprint exceeds `cap_bytes`. Outcomes are byte-identical to
+    /// the same jobs on any other scratch.
+    pub(crate) fn run(&self, r: &Router, jobs: &[JobRef<'_>], cap_bytes: usize) -> Vec<JobOutcome> {
+        let pooled = self.slots.lock().expect("unpoisoned").pop();
+        let mut scratch = pooled.unwrap_or_default();
+        let outs = run_fused(r, &mut scratch, jobs);
+        if scratch.footprint_bytes() > cap_bytes {
+            scratch.trim(r);
+        }
+        self.slots.lock().expect("unpoisoned").push(scratch);
+        outs
+    }
+
+    /// Trims every pooled scratch whose retained footprint exceeds
+    /// `cap_bytes` now, instead of at its next return.
+    pub(crate) fn trim(&self, r: &Router, cap_bytes: usize) {
+        for scratch in self.slots.lock().expect("unpoisoned").iter_mut() {
+            if scratch.footprint_bytes() > cap_bytes {
+                scratch.trim(r);
+            }
+        }
+    }
+}
+
+impl Clone for ScratchPool {
+    fn clone(&self) -> Self {
+        ScratchPool::default()
+    }
+}
+
+impl PartialEq for ScratchPool {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for ScratchPool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ScratchPool").finish_non_exhaustive()
     }
 }
 
@@ -1742,7 +1791,11 @@ fn merge_fused(
             let target_part = &nd.parts[lp].all;
             let target = target_part[scratch.fallback_rr[lp] % target_part.len()];
             scratch.fallback_rr[lp] += 1;
-            scratch.escort.charge(&r.graph, &mut scratch.fallback_mc, st.pos[ri], target);
+            // The leg follows the cached tree; an unreachable pair
+            // charges nothing and the escort teleports either way.
+            if scratch.escort.walk_to(&r.graph, st.pos[ri], target) {
+                scratch.fallback_mc.add_edge_ids(&scratch.escort.walk, 1);
+            }
             st.pos[ri] = target;
             exec.stats.fallback_tokens += 1;
         }
@@ -1769,6 +1822,45 @@ mod tests {
     fn router(n: usize, seed: u64) -> Router {
         let g = generators::random_regular(n, 4, seed).expect("generator");
         Router::preprocess(&g, RouterConfig::for_epsilon(0.4)).expect("router")
+    }
+
+    impl ScratchPool {
+        /// The retained footprint of each pooled scratch, in pool order.
+        pub(crate) fn footprints(&self) -> Vec<usize> {
+            self.slots.lock().expect("unpoisoned").iter().map(Scratch::footprint_bytes).collect()
+        }
+    }
+
+    #[test]
+    fn compact_escort_walks_equal_bfs_parent_tree_walks() {
+        // A ring over 1..=300, a hub 0 adjacent to all of it (degree
+        // 300, beyond a u8 slot), a doubled ring edge and an isolated
+        // vertex 301.
+        let mut edges: Vec<(u32, u32)> = (1..=300).map(|v| (0, v)).collect();
+        edges.extend((1..=300).map(|v| (v, v % 300 + 1)));
+        edges.push((2, 1));
+        let g = Graph::from_edges(302, &edges);
+        assert_eq!(g.degree(0), 300);
+        assert_eq!(g.degree(1), 4, "1 keeps both copies of its edge to 2");
+        let mut cache = EscortCache::default();
+        cache.ensure_targets(g.n());
+        let (mut parent, mut parent_edge) = (Vec::new(), Vec::new());
+        for target in 0..g.n() as u32 {
+            g.bfs_parent_tree_into(target, &mut parent, &mut parent_edge);
+            // A scrambled source order makes later sources resume (and
+            // replay) trees that earlier ones started.
+            for src in (0..g.n() as u32).map(|i| i * 7919 % g.n() as u32) {
+                let reachable = parent[src as usize] != u32::MAX;
+                let mut expected = Vec::new();
+                let mut cur = src;
+                while reachable && cur != target {
+                    expected.push(parent_edge[cur as usize]);
+                    cur = parent[cur as usize];
+                }
+                assert_eq!(cache.walk_to(&g, src, target), reachable, "{src} -> {target}");
+                assert_eq!(cache.walk, expected, "walk {src} -> {target}");
+            }
+        }
     }
 
     #[test]

@@ -38,13 +38,15 @@
 //!   internal node, leaf sorting networks, and the best-delegate
 //!   chains; [`Router::route`] answers a Task 1 instance in
 //!   `poly(ψ⁻¹)·log^{O(1/ε)} n` charged rounds; [`Router::sort`]
-//!   answers an expander-sorting instance (Theorem 5.6).
+//!   answers an expander-sorting instance (Theorem 5.6). Queries run
+//!   on the router's pooled scratches, so the query-independent dummy
+//!   dispersals and escort trees are built once and reused.
 //! * [`engine`] — the batched multi-query engine: [`QueryEngine`]
 //!   shards a batch of routing/sorting jobs across a deterministic
-//!   worker pool over one preprocessed router, with pooled per-worker
-//!   scratches, cross-query dummy-dispersal caching, and cross-job
-//!   dispersal fusion; outcomes are byte-identical to individual
-//!   queries at every thread count and fusion width.
+//!   worker pool over one preprocessed router, with cross-job
+//!   dispersal fusion on the router's pooled scratches; outcomes are
+//!   byte-identical to individual queries at every thread count and
+//!   fusion width.
 //! * [`service`] — the streaming front end over the engine:
 //!   [`RoutingService`] accepts a continuous job stream through
 //!   sharded intake queues, forms fusion groups by deadline and

@@ -8,12 +8,10 @@
 //! reductions re-run the identical machinery). Result values are
 //! computed exactly per the definitions.
 //!
-//! Every primitive takes a [`QueryEngine`] rather than a bare
-//! [`Router`](crate::router::Router): the physical sort inside each
-//! call runs through the engine's pooled scratch, so pipelines that
-//! invoke these primitives repeatedly (MST phases, PRAM steps,
-//! summarization passes) amortize the per-query setup across calls —
-//! construct one engine per router and reuse it.
+//! Every primitive takes a [`QueryEngine`]; the physical sort inside
+//! each call is a [`Router::sort`](crate::router::Router::sort) on the
+//! router's pooled scratch, so repeated calls (MST phases, PRAM steps,
+//! summarization passes) amortize the per-query setup.
 
 use crate::engine::QueryEngine;
 use crate::token::{InstanceError, SortInstance};
@@ -32,7 +30,7 @@ fn measured_sort_rounds(
     engine: &QueryEngine<'_>,
     inst: &SortInstance,
 ) -> Result<u64, InstanceError> {
-    Ok(engine.sort_one(inst)?.rounds())
+    Ok(engine.router().sort(inst)?.rounds())
 }
 
 /// Token ranking (Theorem 5.7): each token learns the number of

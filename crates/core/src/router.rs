@@ -2,7 +2,7 @@
 
 use crate::cost_model::CostModel;
 use crate::engine::{JobOutcome, JobRef};
-use crate::exec::Scratch;
+use crate::exec::{ScratchPool, DEFAULT_SCRATCH_CAP_BYTES, MAX_ESCORT_DEGREE};
 use crate::network::EmbeddedNetwork;
 use crate::token::{InstanceError, RoutingInstance, RoutingOutcome, SortInstance, SortOutcome};
 use congest_sim::{cost, parallel, RoundLedger};
@@ -222,6 +222,10 @@ impl RouterConfig {
 /// arenas), and the result stays byte-identical to a from-scratch
 /// [`Router::preprocess`] on the mutated graph (`PartialEq` compares
 /// every derived structure exactly for that purpose).
+///
+/// It also owns the scratch pool its queries check out (see
+/// [`Router::route`]), which `PartialEq` ignores and a clone or a
+/// repair empties.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Router {
     pub(crate) graph: Graph,
@@ -277,6 +281,8 @@ pub struct Router {
     pub(crate) cost: CostModel,
     pre_ledger: RoundLedger,
     config: RouterConfig,
+    /// Warm query scratches (see the type docs).
+    pub(crate) pool: ScratchPool,
 }
 
 impl Router {
@@ -285,12 +291,13 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if the graph is disconnected or too small
-    /// (`n < 64`).
+    /// Returns [`BuildError`] if the graph is disconnected, too small
+    /// (`n < 64`), or has a vertex of degree above 65 535.
     pub fn preprocess(graph: &Graph, config: RouterConfig) -> Result<Router, BuildError> {
         if graph.n() < 64 {
             return Err(BuildError::TooSmall { n: graph.n() });
         }
+        check_degree(graph)?;
         let hier = Hierarchy::build(graph, config.hierarchy.clone())?;
         Ok(Router::derive(hier, config, None))
     }
@@ -310,14 +317,16 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if the mutated graph is disconnected or
-    /// has shrunk below the supported size.
+    /// Returns [`BuildError`] if the mutated graph is disconnected, has
+    /// shrunk below the supported size, or has grown a vertex of degree
+    /// above 65 535.
     pub fn repair(&mut self, edits: &[GraphEdit]) -> Result<RepairReport, BuildError> {
         let mut hier = self.hier.clone();
         let report = hier.repair(edits)?;
         if hier.graph().n() < 64 {
             return Err(BuildError::TooSmall { n: hier.graph().n() });
         }
+        check_degree(hier.graph())?;
         let mut old_of: Vec<Option<NodeId>> = vec![None; hier.nodes().len()];
         for span in &report.reused_spans {
             for off in 0..span.len {
@@ -625,6 +634,7 @@ impl Router {
             cost: cost_model,
             pre_ledger,
             config,
+            pool: ScratchPool::default(),
         }
     }
 
@@ -690,9 +700,11 @@ impl Router {
 
     /// Answers a Task 1 routing query (Definition 4.1).
     ///
-    /// Each call builds a private scratch; batch workloads should go
-    /// through [`QueryEngine`](crate::engine::QueryEngine), which pools
-    /// scratches and amortizes the shared dispersal work.
+    /// Each call checks a scratch out of the router's pool, reusing the
+    /// dummy dispersals and escort trees earlier queries built (the
+    /// first queries after `preprocess`, `repair` or a clone build them).
+    /// Calls may run concurrently on one `&Router`; batches gain
+    /// cross-job fusion through [`QueryEngine`](crate::engine::QueryEngine).
     ///
     /// # Example
     ///
@@ -716,16 +728,14 @@ impl Router {
         self.validate(job)?;
         // A singleton group of the fused pipeline, so the outcome is
         // byte-identical to the same job inside any engine batch.
-        let out = crate::exec::run_fused(self, &mut Scratch::new(self), &[job]).pop();
+        let out = self.pool.run(self, &[job], DEFAULT_SCRATCH_CAP_BYTES).pop();
         Ok(out.and_then(JobOutcome::into_route).expect("route job yields route outcome"))
     }
 
     /// Answers an expander-sorting query (Theorem 5.6 /
     /// `ExpanderSorting` of Appendix F).
     ///
-    /// Each call builds a private scratch; batch workloads should go
-    /// through [`QueryEngine`](crate::engine::QueryEngine), which pools
-    /// scratches and amortizes the shared dispersal work.
+    /// Runs on a pooled scratch exactly like [`route`](Router::route).
     ///
     /// # Errors
     ///
@@ -734,8 +744,18 @@ impl Router {
     pub fn sort(&self, inst: &SortInstance) -> Result<SortOutcome, InstanceError> {
         let job = JobRef::Sort(inst);
         self.validate(job)?;
-        let out = crate::exec::run_fused(self, &mut Scratch::new(self), &[job]).pop();
+        let out = self.pool.run(self, &[job], DEFAULT_SCRATCH_CAP_BYTES).pop();
         Ok(out.and_then(JobOutcome::into_sort).expect("sort job yields sort outcome"))
+    }
+}
+
+/// Rejects a graph with a vertex whose degree overflows the escort
+/// trees' `u16` adjacency slots (see `exec::MAX_ESCORT_DEGREE`).
+fn check_degree(graph: &Graph) -> Result<(), BuildError> {
+    let limit = MAX_ESCORT_DEGREE;
+    match (0..graph.n() as VertexId).map(|v| (v, graph.degree(v))).find(|&(_, d)| d > limit) {
+        Some((vertex, degree)) => Err(BuildError::DegreeTooLarge { vertex, degree, limit }),
+        None => Ok(()),
     }
 }
 
@@ -875,22 +895,85 @@ mod tests {
         let g = generators::random_regular(256, 4, 22).expect("generator");
         let mut r = Router::preprocess(&g, RouterConfig::for_epsilon(0.4)).expect("router");
         let inst = RoutingInstance::permutation(256, 7);
-        let mut scratch = Scratch::new(&r);
-        let route = |r: &Router, scratch: &mut Scratch| {
+        // A hand-held scratch warmed before the repair: only its graph
+        // epoch tag can tell it the graph changed.
+        let mut scratch = crate::exec::Scratch::default();
+        let held = |r: &Router, scratch: &mut crate::exec::Scratch| {
             let out = crate::exec::run_fused(r, scratch, &[JobRef::Route(&inst)]).pop();
             out.and_then(JobOutcome::into_route).expect("route outcome")
         };
-        assert!(route(&r, &mut scratch).all_delivered());
-        // Repair in place: the router keeps its address, so only the
-        // epoch half of the scratch tag can catch the change.
+        assert!(held(&r, &mut scratch).all_delivered());
+        // Warm the router's pool too, then repair in place, which
+        // must drop the pool.
+        assert!(r.route(&inst).expect("valid").all_delivered());
+        let epoch = r.graph.epoch();
         let (u, v) = g.edges().next().expect("edge");
         r.repair(&[GraphEdit::RemoveEdge(u, v)]).expect("repair");
-        let pooled = route(&r, &mut scratch);
-        assert!(pooled.all_delivered());
-        // A fresh scratch is the uncached reference: pooled dummy
-        // dispersals must not leak across the repair.
-        let reference = r.route(&inst).expect("valid");
-        assert_eq!(pooled.rounds(), reference.rounds());
+        assert_ne!(r.graph.epoch(), epoch, "the repair must move the epoch tag");
+        assert!(r.pool.footprints().is_empty(), "repair keeps no pooled scratch");
+        // A clone's empty pool is the uncached reference: dummy
+        // dispersals and escort trees must not leak across the repair.
+        let reference = r.clone().route(&inst).expect("valid");
+        for out in [r.route(&inst).expect("valid"), held(&r, &mut scratch)] {
+            assert!(out.all_delivered());
+            assert_eq!(out.rounds(), reference.rounds());
+            assert_eq!(out.positions, reference.positions);
+            assert_eq!(format!("{:?}", out.stats), format!("{:?}", reference.stats));
+        }
+    }
+
+    /// Every observable byte of one outcome.
+    fn outcome_bytes(out: &JobOutcome) -> String {
+        match out {
+            JobOutcome::Route(o) => format!("route|{:?}|{:?}|{}", o.positions, o.stats, o.ledger),
+            JobOutcome::Sort(o) => format!("sort|{:?}|{:?}|{}", o.positions, o.stats, o.ledger),
+        }
+    }
+
+    #[test]
+    fn warm_pool_outcomes_equal_cold_ones() {
+        let r = router(256, 24);
+        let route = RoutingInstance::permutation(256, 8);
+        let sort = SortInstance::random(256, 2, 9);
+        let run = |r: &Router, sorting: bool| {
+            outcome_bytes(&if sorting {
+                JobOutcome::Sort(r.sort(&sort).expect("valid"))
+            } else {
+                JobOutcome::Route(r.route(&route).expect("valid"))
+            })
+        };
+        for sorting in [false, true] {
+            let first = run(&r, sorting);
+            // The 2nd–5th calls reuse the scratch the 1st one warmed.
+            for call in 2..=5 {
+                assert_eq!(run(&r, sorting), first, "call {call} (sort: {sorting}) differs");
+            }
+            assert_eq!(run(&r.clone(), sorting), first, "a clone's cold call differs");
+            // Four racing callers (more than a 2-core host runs at
+            // once): concurrent checkouts get a warm or a fresh scratch.
+            std::thread::scope(|sc| {
+                let racers: Vec<_> = (0..4).map(|_| sc.spawn(|| run(&r, sorting))).collect();
+                for h in racers {
+                    assert_eq!(h.join().expect("no panic"), first, "a racing call differs");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn rejects_degree_above_the_escort_slot() {
+        // A ring plus enough parallel copies of one edge to push vertex
+        // 0 one past the u16 slot range.
+        let mut edges: Vec<(VertexId, VertexId)> = (0..64).map(|v| (v, (v + 1) % 64)).collect();
+        edges.extend(std::iter::repeat_n((0, 2), MAX_ESCORT_DEGREE - 2));
+        assert!(check_degree(&Graph::from_edges(64, &edges)).is_ok(), "degree 65 535 fits");
+        edges.push((0, 2));
+        let g = Graph::from_edges(64, &edges);
+        assert_eq!(g.degree(0), MAX_ESCORT_DEGREE + 1);
+        let err = Router::preprocess(&g, RouterConfig::default()).expect_err("degree too large");
+        let (degree, limit) = (MAX_ESCORT_DEGREE + 1, MAX_ESCORT_DEGREE);
+        assert_eq!(err, BuildError::DegreeTooLarge { vertex: 0, degree, limit });
+        assert!(err.to_string().ends_with("above the supported 65535"), "{err}");
     }
 
     #[test]

@@ -129,8 +129,8 @@ pub struct ServiceConfig {
     /// Intake silence after which a partial group stops waiting for
     /// density and closes.
     pub quiescent_after: Duration,
-    /// Idle time after which a worker trims the engine's pooled
-    /// scratches back under the scratch cap (once per idle period), so
+    /// Idle time after which a worker trims the router's pooled
+    /// scratches back under the engine's scratch cap (once per idle period), so
     /// a long-lived idle service releases the memory of its last
     /// traffic peak.
     pub trim_after: Duration,
@@ -500,8 +500,8 @@ fn worker_loop(sh: &Shared<'_, '_>, index: usize) -> WorkerStats {
             if draining && sh.intake_is_empty() {
                 return stats;
             }
-            // Quiescent with nothing queued: give the engine's pooled
-            // scratches their cap trim once per idle period, then back
+            // Quiescent with nothing queued: give the router's pooled
+            // scratches the engine's cap trim once per idle period, then back
             // off (spin → yield → nap).
             if !trimmed_this_idle && last_activity.elapsed() >= sh.config.trim_after {
                 sh.engine.trim_scratches();

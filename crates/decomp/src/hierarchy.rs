@@ -122,6 +122,16 @@ pub enum BuildError {
         /// Hierarchy level of the node whose attach failed (root = 0).
         level: u32,
     },
+    /// A vertex's degree (parallel edges counted) is above the number
+    /// of adjacency slots the router's escort trees can name.
+    DegreeTooLarge {
+        /// The first vertex above the limit.
+        vertex: VertexId,
+        /// Its degree.
+        degree: usize,
+        /// The largest supported degree.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -139,6 +149,9 @@ impl fmt::Display for BuildError {
                 "vertex {vertex} stranded at level {level}: the virtual graph disconnects \
                  it from every surviving part during force-attach"
             ),
+            BuildError::DegreeTooLarge { vertex, degree, limit } => {
+                write!(f, "vertex {vertex} has degree {degree}, above the supported {limit}")
+            }
         }
     }
 }
